@@ -1,6 +1,7 @@
 #include "blas/gemm.hpp"
 
 #include <cstring>
+#include <utility>
 
 #include "blas/hostblas.hpp"
 #include "codegen/gemm_generator.hpp"
@@ -112,7 +113,8 @@ GemmProfile GemmEngine::gemm(Transpose ta, Transpose tb, index_t M,
     std::memcpy(C.data(), dC->data(), C.size() * sizeof(T));
     GemmProfile prof = prof_est;
     if (verify) {
-      Matrix<T> Cref = Cin;
+      trace::Span verify_span("gemm.verify");
+      Matrix<T> Cref = std::move(Cin);
       hostblas::gemm_parallel(ta, tb, M, N, K, alpha, A, B, beta, Cref);
       prof.max_error = max_abs_diff(C, Cref);
     }
@@ -172,7 +174,8 @@ GemmProfile GemmEngine::gemm(Transpose ta, Transpose tb, index_t M,
 
   GemmProfile prof = prof_est;
   if (verify) {
-    Matrix<T> Cref = Cin;
+    trace::Span verify_span("gemm.verify");
+    Matrix<T> Cref = std::move(Cin);
     hostblas::gemm_parallel(ta, tb, M, N, K, alpha, A, B, beta, Cref);
     prof.max_error = max_abs_diff(C, Cref);
   }

@@ -1,10 +1,12 @@
 // Host reference GEMM implementations.
 //
-// Three tiers: a naive triple loop (ground truth in tests), a cache-blocked
-// single-thread variant, and a thread-parallel blocked variant. These play
-// the role the authors' host-side verification code plays — every device
-// kernel result is checked against them — and serve as the CPU fallback in
-// the examples.
+// Two kernels: a naive triple loop (ground truth in tests) and a
+// panel-packed kernel, run serially by gemm_blocked and over a thread pool
+// by gemm_parallel. These play the role the authors' host-side
+// verification code plays — every device kernel result is checked against
+// gemm_parallel — and serve as the CPU fallback in the examples. Every
+// variant sums each element of C over ascending k, so the panel kernel's
+// result does not depend on the thread count.
 #pragma once
 
 #include "layout/matrix.hpp"
@@ -18,13 +20,17 @@ void gemm_naive(Transpose ta, Transpose tb, index_t M, index_t N, index_t K,
                 T alpha, const Matrix<T>& A, const Matrix<T>& B, T beta,
                 Matrix<T>& C);
 
-/// Cache-blocked single-threaded GEMM (same contract as gemm_naive).
+/// Panel-packed single-threaded GEMM (same contract as gemm_naive).
 template <typename T>
 void gemm_blocked(Transpose ta, Transpose tb, index_t M, index_t N,
                   index_t K, T alpha, const Matrix<T>& A, const Matrix<T>& B,
-                  T beta, Matrix<T>& C, index_t block = 64);
+                  T beta, Matrix<T>& C);
 
-/// Thread-parallel blocked GEMM; `threads` <= 0 uses the hardware count.
+/// The panel-packed GEMM split over column groups of C. `threads` <= 0
+/// runs on ThreadPool::global(), i.e. configured_threads() workers (the
+/// --threads flag or GEMMTUNE_THREADS); `threads` > 0 on a pool of its own
+/// of that size. C is bit-identical at every thread count and equal to
+/// gemm_blocked's.
 template <typename T>
 void gemm_parallel(Transpose ta, Transpose tb, index_t M, index_t N,
                    index_t K, T alpha, const Matrix<T>& A,

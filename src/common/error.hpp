@@ -10,6 +10,7 @@
 #include <source_location>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace gemmtune {
 
@@ -21,23 +22,30 @@ class Error : public std::runtime_error {
 };
 
 namespace detail {
-[[noreturn]] inline void raise(const std::string& msg,
-                               const std::source_location& loc) {
-  throw Error(std::string(loc.file_name()) + ":" +
-              std::to_string(loc.line()) + ": " + msg);
+// Builds the "file:line: message" text; only reached on failure, so a
+// passing check allocates nothing.
+[[noreturn, gnu::cold, gnu::noinline]] inline void raise(
+    std::string_view msg, const std::source_location& loc) {
+  std::string what(loc.file_name());
+  what += ':';
+  what += std::to_string(loc.line());
+  what += ": ";
+  what += msg;
+  throw Error(what);
 }
 }  // namespace detail
 
 /// Checks a precondition; throws gemmtune::Error with the caller's source
-/// location when `cond` is false.
-inline void check(bool cond, const std::string& msg,
+/// location when `cond` is false. The message is taken as a view, so a
+/// literal costs nothing on the passing path.
+inline void check(bool cond, std::string_view msg,
                   const std::source_location loc =
                       std::source_location::current()) {
   if (!cond) detail::raise(msg, loc);
 }
 
 /// Unconditional failure with message; used for unreachable branches.
-[[noreturn]] inline void fail(const std::string& msg,
+[[noreturn]] inline void fail(std::string_view msg,
                               const std::source_location loc =
                                   std::source_location::current()) {
   detail::raise(msg, loc);

@@ -144,8 +144,8 @@ class Machine {
       }
       case StmtKind::StoreGlobal: {
         const ArgInfo& arg = k_.args[static_cast<std::size_t>(s->arg)];
-        check(arg.kind == ArgKind::GlobalPtr,
-              "store to read-only/global-const argument " + arg.name);
+        if (arg.kind != ArgKind::GlobalPtr)
+          fail("store to read-only/global-const argument " + arg.name);
         for (std::size_t t = 0; t < items_.size(); ++t) {
           if (!active_[t]) continue;
           Item& it = items_[t];
@@ -382,11 +382,11 @@ class Machine {
                   Type t) {
     const std::int64_t n =
         static_cast<std::int64_t>(buf.size()) / scalar_bytes(elem);
-    check(idx >= 0 && idx + t.lanes <= n,
-          strf("global load out of range: index %lld + %d lanes, buffer %lld "
-               "elements",
-               static_cast<long long>(idx), t.lanes,
-               static_cast<long long>(n)));
+    if (!(idx >= 0 && idx + t.lanes <= n))
+      fail(strf("global load out of range: index %lld + %d lanes, buffer "
+                "%lld elements",
+                static_cast<long long>(idx), t.lanes,
+                static_cast<long long>(n)));
     Val v;
     v.t = t;
     for (int l = 0; l < t.lanes; ++l) {
@@ -405,11 +405,11 @@ class Machine {
                     const Val& v) {
     const std::int64_t n =
         static_cast<std::int64_t>(buf.size()) / scalar_bytes(elem);
-    check(idx >= 0 && idx + v.t.lanes <= n,
-          strf("global store out of range: index %lld + %d lanes, buffer "
-               "%lld elements",
-               static_cast<long long>(idx), v.t.lanes,
-               static_cast<long long>(n)));
+    if (!(idx >= 0 && idx + v.t.lanes <= n))
+      fail(strf("global store out of range: index %lld + %d lanes, buffer "
+                "%lld elements",
+                static_cast<long long>(idx), v.t.lanes,
+                static_cast<long long>(n)));
     for (int l = 0; l < v.t.lanes; ++l) {
       const auto u = static_cast<std::size_t>(idx + l);
       if (elem == Scalar::F64) {
@@ -426,12 +426,12 @@ class Machine {
 
   Val array_load(const std::vector<double>& arr, std::int64_t idx, Type t,
                  const Symbol& sym, bool local) {
-    check(idx >= 0 &&
-              idx + t.lanes <= static_cast<std::int64_t>(arr.size()),
-          strf("%s array '%s' load out of range: index %lld + %d lanes, %zu "
-               "elements",
-               local ? "local" : "private", sym.name.c_str(),
-               static_cast<long long>(idx), t.lanes, arr.size()));
+    if (!(idx >= 0 &&
+          idx + t.lanes <= static_cast<std::int64_t>(arr.size())))
+      fail(strf("%s array '%s' load out of range: index %lld + %d lanes, "
+                "%zu elements",
+                local ? "local" : "private", sym.name.c_str(),
+                static_cast<long long>(idx), t.lanes, arr.size()));
     Val v;
     v.t = t;
     for (int l = 0; l < t.lanes; ++l)
@@ -444,12 +444,12 @@ class Machine {
 
   void store_to(std::vector<double>& arr, std::int64_t idx, const Val& v,
                 const Symbol& sym, bool local) {
-    check(idx >= 0 &&
-              idx + v.t.lanes <= static_cast<std::int64_t>(arr.size()),
-          strf("%s array '%s' store out of range: index %lld + %d lanes, %zu "
-               "elements",
-               local ? "local" : "private", sym.name.c_str(),
-               static_cast<long long>(idx), v.t.lanes, arr.size()));
+    if (!(idx >= 0 &&
+          idx + v.t.lanes <= static_cast<std::int64_t>(arr.size())))
+      fail(strf("%s array '%s' store out of range: index %lld + %d lanes, "
+                "%zu elements",
+                local ? "local" : "private", sym.name.c_str(),
+                static_cast<long long>(idx), v.t.lanes, arr.size()));
     for (int l = 0; l < v.t.lanes; ++l)
       arr[static_cast<std::size_t>(idx + l)] = v.f[static_cast<std::size_t>(l)];
     const auto bytes = static_cast<std::uint64_t>(v.t.lanes) *

@@ -83,6 +83,18 @@ class Matrix {
   std::vector<T> data_;
 };
 
+/// Strides of logical element (r, c) of op(X): its offset in X.data() is
+/// r * sr + c * sc. Lets a loop over a validated extent use raw pointers
+/// instead of the bounds-checked at().
+template <typename T>
+void op_strides(const Matrix<T>& X, Transpose trans, index_t* sr,
+                index_t* sc) {
+  const index_t rs = X.order() == StorageOrder::RowMajor ? X.ld() : 1;
+  const index_t cs = X.order() == StorageOrder::RowMajor ? 1 : X.ld();
+  *sr = trans == Transpose::No ? rs : cs;
+  *sc = trans == Transpose::No ? cs : rs;
+}
+
 /// Maximum absolute elementwise difference; used by tests and examples to
 /// compare kernel output against the host reference.
 template <typename T>

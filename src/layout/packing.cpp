@@ -26,16 +26,6 @@ namespace {
 constexpr index_t kRowTile = 64;
 constexpr index_t kColTile = 256;
 
-// Strides of logical element (r, c) of op(X): offset = r * sr + c * sc.
-template <typename T>
-void op_strides(const Matrix<T>& X, Transpose trans, index_t* sr,
-                index_t* sc) {
-  const index_t rs = X.order() == StorageOrder::RowMajor ? X.ld() : 1;
-  const index_t cs = X.order() == StorageOrder::RowMajor ? 1 : X.ld();
-  *sr = trans == Transpose::No ? rs : cs;
-  *sc = trans == Transpose::No ? cs : rs;
-}
-
 // Validates that op(X) covers rows x cols, with the same diagnostic the
 // per-element Matrix accessor would have produced.
 template <typename T>

@@ -3,10 +3,15 @@
 // the generated kernels (paper Section IV-B pipeline).
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+
 #include "blas/gemm.hpp"
 #include "blas/hostblas.hpp"
+#include "common/json.hpp"
 #include "common/rng.hpp"
 #include "simcl/device_registry.hpp"
+#include "trace/trace.hpp"
 
 namespace gemmtune {
 namespace {
@@ -15,35 +20,63 @@ using blas::GemmEngine;
 using codegen::Precision;
 using simcl::DeviceId;
 
+// Operands for op(A) M x K, op(B) K x N and C M x N in the given storage
+// orders, filled from `seed`.
 template <typename T>
-void check_host_variants(Transpose ta, Transpose tb) {
-  const index_t M = 17, N = 13, K = 9;
-  Rng rng(11);
-  Matrix<T> A(ta == Transpose::No ? M : K, ta == Transpose::No ? K : M);
-  Matrix<T> B(tb == Transpose::No ? K : N, tb == Transpose::No ? N : K);
-  Matrix<T> C(M, N);
-  A.fill_random(rng);
-  B.fill_random(rng);
-  C.fill_random(rng);
-  Matrix<T> Cnaive = C, Cblocked = C, Cparallel = C;
-  const T alpha = T(1.5), beta = T(-0.5);
-  hostblas::gemm_naive(ta, tb, M, N, K, alpha, A, B, beta, Cnaive);
-  hostblas::gemm_blocked(ta, tb, M, N, K, alpha, A, B, beta, Cblocked, 4);
-  hostblas::gemm_parallel(ta, tb, M, N, K, alpha, A, B, beta, Cparallel, 3);
-  const double tol = hostblas::gemm_tolerance<T>(K);
-  EXPECT_LE(max_abs_diff(Cnaive, Cblocked), tol);
-  EXPECT_LE(max_abs_diff(Cnaive, Cparallel), tol);
+struct HostProblem {
+  Matrix<T> A, B, C;
+  HostProblem(Transpose ta, Transpose tb, index_t M, index_t N, index_t K,
+              StorageOrder oa, StorageOrder ob, StorageOrder oc,
+              std::uint64_t seed)
+      : A(ta == Transpose::No ? M : K, ta == Transpose::No ? K : M, oa),
+        B(tb == Transpose::No ? K : N, tb == Transpose::No ? N : K, ob),
+        C(M, N, oc) {
+    Rng rng(seed);
+    A.fill_random(rng);
+    B.fill_random(rng);
+    C.fill_random(rng);
+  }
+};
+
+// naive, blocked and parallel agree on shapes that cross the panel kernel's
+// edges (64-row blocks, 8-row slivers, 4-column groups), for every storage
+// order of A, B and C under all four transposes.
+template <typename T>
+void check_host_variants() {
+  const StorageOrder orders[] = {StorageOrder::RowMajor,
+                                 StorageOrder::ColMajor};
+  const T alpha = T(1.25), beta = T(-0.75);
+  for (GemmType t : all_gemm_types())
+    for (StorageOrder oa : orders)
+      for (StorageOrder ob : orders)
+        for (StorageOrder oc : orders)
+          for (index_t M : {1, 63, 64, 65, 130})
+            for (index_t N : {1, 3, 4, 5, 9})
+              for (index_t K : {1, 70}) {
+                const Transpose ta = trans_a(t), tb = trans_b(t);
+                HostProblem<T> p(ta, tb, M, N, K, oa, ob, oc, 31);
+                Matrix<T> Cnaive = p.C, Cblocked = p.C, Cparallel = p.C;
+                hostblas::gemm_naive(ta, tb, M, N, K, alpha, p.A, p.B, beta,
+                                     Cnaive);
+                hostblas::gemm_blocked(ta, tb, M, N, K, alpha, p.A, p.B,
+                                       beta, Cblocked);
+                hostblas::gemm_parallel(ta, tb, M, N, K, alpha, p.A, p.B,
+                                        beta, Cparallel, 3);
+                const double tol = hostblas::gemm_tolerance<T>(K);
+                SCOPED_TRACE(std::string(to_string(t)) + " " +
+                             std::to_string(M) + "x" + std::to_string(N) +
+                             "x" + std::to_string(K) + " row-major A/B/C " +
+                             std::to_string(oa == StorageOrder::RowMajor) +
+                             std::to_string(ob == StorageOrder::RowMajor) +
+                             std::to_string(oc == StorageOrder::RowMajor));
+                ASSERT_LE(max_abs_diff(Cnaive, Cblocked), tol);
+                ASSERT_LE(max_abs_diff(Cnaive, Cparallel), tol);
+              }
 }
 
-TEST(HostBlas, VariantsAgreeDouble) {
-  for (GemmType t : all_gemm_types())
-    check_host_variants<double>(trans_a(t), trans_b(t));
-}
+TEST(HostBlas, VariantsAgreeDouble) { check_host_variants<double>(); }
 
-TEST(HostBlas, VariantsAgreeFloat) {
-  for (GemmType t : all_gemm_types())
-    check_host_variants<float>(trans_a(t), trans_b(t));
-}
+TEST(HostBlas, VariantsAgreeFloat) { check_host_variants<float>(); }
 
 TEST(HostBlas, ShapeChecks) {
   Matrix<double> A(2, 3), B(3, 2), C(2, 2), Bad(1, 1);
@@ -52,6 +85,53 @@ TEST(HostBlas, ShapeChecks) {
   EXPECT_THROW(hostblas::gemm_naive(Transpose::No, Transpose::No, 2, 2, 3,
                                     1.0, Bad, B, 0.0, C),
                Error);
+  try {
+    hostblas::gemm_parallel(Transpose::No, Transpose::No, 2, 2, 3, 1.0, A,
+                            Bad, 0.0, C);
+    FAIL() << "gemm_parallel accepted a too-small B";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("hostblas.cpp:"), std::string::npos) << what;
+    EXPECT_EQ(what.substr(what.rfind(": ") + 2), "B too small") << what;
+  }
+}
+
+template <typename T>
+void check_thread_invariance(Transpose ta, Transpose tb) {
+  const index_t M = 130, N = 37, K = 70;
+  HostProblem<T> p(ta, tb, M, N, K, StorageOrder::ColMajor,
+                   StorageOrder::RowMajor, StorageOrder::ColMajor, 41);
+  Matrix<T> ref = p.C;
+  hostblas::gemm_blocked(ta, tb, M, N, K, T(1.5), p.A, p.B, T(0.5), ref);
+  for (int threads : {1, 2, 3, 7, 0}) {  // 0: the global pool
+    Matrix<T> C = p.C;
+    hostblas::gemm_parallel(ta, tb, M, N, K, T(1.5), p.A, p.B, T(0.5), C,
+                            threads);
+    EXPECT_EQ(std::memcmp(C.data(), ref.data(), C.size() * sizeof(T)), 0)
+        << "threads " << threads;
+  }
+}
+
+TEST(HostBlas, ParallelIsBitIdenticalAcrossThreadCounts) {
+  for (GemmType t : all_gemm_types()) {
+    check_thread_invariance<double>(trans_a(t), trans_b(t));
+    check_thread_invariance<float>(trans_a(t), trans_b(t));
+  }
+}
+
+// check() takes its message as a view; the thrown text must still be the
+// caller's "file:line: message".
+TEST(HostBlas, CheckFailureCarriesFileLineAndMessage) {
+  const std::string msg = "a message longer than the small-string buffer";
+  const int line = __LINE__ + 2;
+  try {
+    check(false, msg);
+    FAIL() << "check(false) did not throw";
+  } catch (const Error& e) {
+    EXPECT_EQ(std::string(e.what()),
+              std::string(__FILE__) + ":" + std::to_string(line) + ": " +
+                  msg);
+  }
 }
 
 // ---- GemmEngine functional path ------------------------------------------------
@@ -168,6 +248,38 @@ TEST(GemmEngine, HonorsAnInjectedTuningDatabase) {
   EXPECT_EQ(engine.kernel_for(Precision::DP).params, p);
   // And the functional path runs correctly with it.
   run_engine_type<double>(DeviceId::Tahiti, GemmType::NT, 40, 24, 20, 77);
+}
+
+// The verify oracle runs under exactly one gemm.verify span per verified
+// call, on both the direct and the packed path, and never without verify.
+TEST(GemmEngine, VerifySpanOnlyWhenVerifying) {
+  trace::reset();
+  trace::set_enabled(true);
+  const auto verify_spans = [] {
+    const Json spans = trace::metrics_json().at("spans");
+    return spans.contains("gemm.verify")
+               ? spans.at("gemm.verify").at("count").as_int()
+               : 0;
+  };
+  for (bool direct : {true, false}) {
+    GemmEngine engine(DeviceId::Tahiti);
+    engine.set_direct_path(direct);
+    Matrix<double> A(24, 20), B(20, 16), C(24, 16);
+    Rng rng(5);
+    A.fill_random(rng);
+    B.fill_random(rng);
+    trace::reset();
+    const auto prof = engine.gemm(Transpose::No, Transpose::No, 24, 16, 20,
+                                  1.0, A, B, 0.0, C, /*verify=*/false);
+    EXPECT_EQ(prof.used_direct, direct);
+    EXPECT_EQ(verify_spans(), 0);
+    trace::reset();
+    engine.gemm(Transpose::No, Transpose::No, 24, 16, 20, 1.0, A, B, 0.0, C,
+                /*verify=*/true);
+    EXPECT_EQ(verify_spans(), 1) << "direct " << direct;
+  }
+  trace::set_enabled(false);
+  trace::reset();
 }
 
 TEST(GemmEngine, RectangularProblemsAllDevices) {
