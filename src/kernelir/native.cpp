@@ -6,10 +6,12 @@
 //     native slot (compile.hpp) — hits and sticky failures return
 //     immediately, so the compiler runs at most once per kernel shape.
 //  2. hash the (emitter version + flags + key) bytes; if a .so with that
-//     hash already sits in the cache directory, dlopen it directly — a
-//     warm start never invokes the compiler.
-//  3. otherwise emit the specialized source, run the host C++ compiler
-//     (-O2 -fPIC -shared -ffp-contract=off; contraction off keeps the
+//     hash already sits in the cache directory and the identity string it
+//     exports is that hash, dlopen it directly — a warm start never
+//     invokes the compiler. Any other object under that name (stale,
+//     foreign or corrupt) is rebuilt over, counted on interp.native_stale.
+//  3. otherwise emit the specialized source with the identity string
+//     appended, run the host C++ compiler (-ffp-contract=off keeps the
 //     generated arithmetic bit-identical to the interpreter's), publish
 //     the object with temp-file + rename (concurrent processes race
 //     benignly: rename is atomic and either winner's object is valid),
@@ -45,21 +47,30 @@ namespace gemmtune::ir {
 namespace {
 
 /// Bumping this invalidates every cached .so (the hash covers it).
-constexpr const char* kEmitterVersion = "gemmtune-native-emit-v2";
+constexpr const char* kEmitterVersion = "gemmtune-native-emit-v3";
 /// Scalar FP codegen: the backend contract is byte-identical buffers
 /// against the interpreter, and GCC's tree/SLP vectorizers can reorganize
 /// the emitted (double)(float) rounding chains at a one-ULP cost on f32
-/// kernels. Contraction is off for the same reason.
+/// kernels. Contraction is off for the same reason. Loop distribution is
+/// off in both modes: the emitter merges consecutive per-item
+/// instructions into one pass on purpose, and with GCC 12 distributing
+/// those passes into copy calls gave wrong buffers for kernels whose
+/// work-group size is a run-time value (caught by the fuzzed native
+/// differential; correct at -O1 or with distribution off).
 constexpr const char* kJitFlagsScalar =
     "-std=c++17 -O2 -fPIC -shared -ffp-contract=off "
+    "-fno-tree-loop-distribution -fno-tree-loop-distribute-patterns "
     "-fno-tree-vectorize -fno-tree-slp-vectorize";
-/// SIMD emitter path: the vector lanes are explicit in the source (with
-/// f32 rounding as per-element conversions inside the vector body), so
-/// the loop vectorizer is free to run — per-element semantics are already
-/// pinned. SLP stays off: it is the pass that reorganized scalar rounding
-/// chains at a one-ULP cost, and the explicit vectors leave it no upside.
+/// SIMD emitter path: every hot loop is an explicit vector over the
+/// work-items (GCC's loop vectorizer does not analyze the per-item loops
+/// inside the goto-formed kernel loops), with f32 rounding as
+/// per-element conversions inside the vector body, so the loop
+/// vectorizer may still run on whatever is left. SLP stays off: it is
+/// the pass that reorganized scalar rounding chains at a one-ULP cost,
+/// and the explicit vectors leave it no upside.
 constexpr const char* kJitFlagsSimd =
     "-std=c++17 -O3 -fPIC -shared -ffp-contract=off "
+    "-fno-tree-loop-distribution -fno-tree-loop-distribute-patterns "
     "-fno-tree-slp-vectorize";
 
 std::atomic<NativeSimd> g_simd_override{NativeSimd::Auto};
@@ -201,13 +212,19 @@ std::string persistent_dir() {
   return dir_writable(dir) ? dir : "";
 }
 
+/// Exported string holding the object's identity: the 16-hex jit_hash its
+/// cache name carries.
+constexpr const char* kNativeMetaSymbol = "gemmtune_native_meta_v1";
+
 struct DlHandle {
   void* handle = nullptr;
   NativeEntryFn fn = nullptr;
   std::string error;
 };
 
-DlHandle dl_load(const std::string& so_path) {
+/// dlopens an object and resolves its entry point, accepting it only when
+/// its exported identity is `id` (the cache name alone proves nothing).
+DlHandle dl_load(const std::string& so_path, const std::string& id) {
   DlHandle out;
   out.handle = ::dlopen(so_path.c_str(), RTLD_NOW | RTLD_LOCAL);
   if (out.handle == nullptr) {
@@ -215,11 +232,18 @@ DlHandle dl_load(const std::string& so_path) {
     out.error = strf("dlopen failed: %s", e != nullptr ? e : "unknown");
     return out;
   }
+  const auto* meta =
+      static_cast<const char*>(::dlsym(out.handle, kNativeMetaSymbol));
   out.fn = reinterpret_cast<NativeEntryFn>(
       ::dlsym(out.handle, kNativeEntrySymbol));
   if (out.fn == nullptr) {
     out.error = strf("symbol %s missing (stale cache object?)",
                      kNativeEntrySymbol);
+  } else if (meta == nullptr || id != meta) {
+    out.error = "object identity is not " + id + " (stale or foreign object)";
+    out.fn = nullptr;
+  }
+  if (out.fn == nullptr) {
     ::dlclose(out.handle);
     out.handle = nullptr;
   }
@@ -267,22 +291,23 @@ std::string run_jit_compiler(const std::string& cxx,
 NativeKernelPtr jit_build(const Kernel& kernel, const std::string& key,
                           int simd_w, std::string* why) {
   const std::string flags = jit_flags_for(simd_w);
-  const std::string so_name = strf("gemmtune-%016llx.so",
-                                   static_cast<unsigned long long>(
-                                       jit_hash(flags, key)));
+  const std::string id = strf(
+      "%016llx", static_cast<unsigned long long>(jit_hash(flags, key)));
+  const std::string so_name = "gemmtune-" + id + ".so";
   const std::string pdir = persistent_dir();
 
   // Warm start: a cached object needs no compiler at all.
   if (!pdir.empty()) {
     const std::string cached = pdir + "/" + so_name;
     if (file_exists(cached)) {
-      DlHandle h = dl_load(cached);
+      DlHandle h = dl_load(cached, id);
       if (h.fn != nullptr) {
         if (trace::enabled())
           trace::counter_add("interp.native_disk_hits", 1);
         return std::make_shared<const NativeKernel>(h.handle, h.fn, cached);
       }
-      // Stale or corrupt: fall through and rebuild over it.
+      // Stale, foreign or corrupt: fall through and rebuild over it.
+      if (trace::enabled()) trace::counter_add("interp.native_stale", 1);
     }
   }
 
@@ -306,11 +331,11 @@ NativeKernelPtr jit_build(const Kernel& kernel, const std::string& key,
   const CompiledKernelPtr prog = get_or_compile(kernel);
   NativeEmitOptions opts;
   opts.simd_width = simd_w;
-  const std::string source = emit_native_source(kernel, *prog, opts);
+  const std::string source =
+      emit_native_source(kernel, *prog, opts) + "extern \"C\" const char " +
+      kNativeMetaSymbol + "[] = \"" + id + "\";\n";
   const std::string src_path =
-      dir + strf("/gemmtune-%016llx.%d.cpp",
-                 static_cast<unsigned long long>(jit_hash(flags, key)),
-                 ::getpid());
+      dir + "/gemmtune-" + id + strf(".%d.cpp", ::getpid());
   if (!write_file(src_path, source)) {
     if (why != nullptr) *why = "cannot write JIT source to " + dir;
     return nullptr;
@@ -329,7 +354,7 @@ NativeKernelPtr jit_build(const Kernel& kernel, const std::string& key,
     return nullptr;
   }
 
-  DlHandle h = dl_load(so_path);
+  DlHandle h = dl_load(so_path, id);
   if (h.fn == nullptr) {
     if (why != nullptr) *why = h.error;
     return nullptr;

@@ -4,10 +4,13 @@
 // emit_native_source() translates one compiled bytecode program into a
 // self-contained C++ translation unit specialized for that kernel: every
 // instruction becomes straight-line code with its operand registers, lane
-// counts, array offsets and constants baked in as literals, work-item
-// lanes become plain `for (t ...)` loops the host compiler can unroll and
-// vectorize, and when the kernel declares reqd_work_group_size the
-// work-group size itself is a compile-time constant. Bounds checks the
+// counts, array offsets and constants baked in as literals. Floating
+// registers and private arrays are lane-major (slot s of work-item t at
+// s*SN + t, SN = NI plus one cache line), so consecutive per-item
+// instructions become one pass over the work-items, printed as explicit
+// host-width vectors in SIMD mode whatever the kernel's own vector width;
+// when the kernel declares reqd_work_group_size the work-group size
+// itself is a compile-time constant. Bounds checks the
 // bytecode pass already proved (constant private/local addressing lowered
 // to FmaPP / SplatLaneP / kImmAddr forms) are gone entirely; the remaining
 // runtime checks raise the exact same message text as the tree walker and
@@ -82,11 +85,11 @@ enum class NativeSimd { Auto, Off, On };
 /// Process-wide SIMD override (the --native-simd flag); Auto clears it.
 void set_native_simd_override(NativeSimd m);
 
-/// Resolved vector width (in doubles) a native compile started now would
-/// emit: 0 for scalar emission, else the probed host width (8 with
-/// AVX-512F, 4 with AVX2, 2 baseline). The width is folded into both the
-/// program-cache key and the on-disk .so hash, so scalar and SIMD objects
-/// for the same kernel never collide.
+/// Resolved vector width (in doubles, across work-items) a native compile
+/// started now would emit: 0 for scalar emission, else the probed host
+/// width (8 with AVX-512F, 4 with AVX2, 2 baseline). The width is folded
+/// into both the program-cache key and the on-disk .so hash, so scalar and
+/// SIMD objects for the same kernel never collide.
 int native_simd_width();
 
 /// Options for emit_native_source(); defaults reproduce scalar emission.

@@ -18,14 +18,29 @@
 // the JIT compiles with -ffp-contract=off so the host compiler cannot
 // fuse a*b+c into an fma the interpreter didn't perform.
 //
-// In SIMD mode (NativeEmitOptions::simd_width > 0) the unmasked FP ops
-// are printed as explicit fixed-width vector expressions instead of
-// unrolled scalars: lane-major slab regions flatten into chunks of the
-// host vector width, and f32 rounding becomes an element-wise
-// double->float->double __builtin_convertvector pair inside the vector
-// body — the narrowing is pinned per element, so no compiler pass can
-// re-associate it and every lane still rounds exactly like the VM.
-// Masked ops, integer ops and copies keep their scalar emission.
+// Slab layout: floating registers and private arrays are lane-major. Slot
+// `s` of work-item `t` lives at `s*SN + t`, where lane l of the register
+// with base b is slot b + l and element e of the private slab is slot e
+// (the VM keeps the items' lanes together instead). The slot stride SN is
+// NI plus one cache line, so the slots one chunk of items touches spread
+// over the cache sets instead of aliasing when NI is a power of two.
+// Every per-item op is then a set of unit-stride runs over the
+// work-items, whatever the kernel's own vector width. Consecutive
+// unmasked per-item ops (see item_op) are merged into one pass over the
+// items, printed as chunks of the host vector width (SIMD mode,
+// NativeEmitOptions::simd_width > 0) plus a scalar tail, or as a plain
+// scalar loop. Work-items never share a register or private slot, and
+// each item still runs its instructions and lanes in program order, so
+// the reordering across items is invisible: registers are not observable
+// (only buffers, counters and error text are). Local stores (items may
+// hit the same address) and global stores (a faulting launch must leave
+// the VM's partial stores) stay per-item loops in item order, as do
+// masked ops.
+//
+// In the vector chunks, f32 rounding is an element-wise
+// double->float->double conversion pair — the narrowing is pinned per
+// element, so no compiler pass can re-associate it and every lane still
+// rounds exactly like the VM.
 #include <cinttypes>
 #include <cstdint>
 #include <cstring>
@@ -64,29 +79,47 @@ std::string cstr(const std::string& s) {
   return out;
 }
 
+/// True when a lane count can be a GCC vector width (power of two, up to
+/// 16 doubles — 128 bytes, which GCC synthesizes on any target).
+bool vectorizable_width(int w) {
+  return w == 2 || w == 4 || w == 8 || w == 16;
+}
+
 class Emitter {
  public:
   Emitter(const Kernel& k, const CompiledKernel& p, const NativeEmitOptions& o)
       : k_(k),
         p_(p),
-        simd_(vectorizable_width(o.simd_width) ? o.simd_width : 0) {}
+        simd_(vectorizable_width(o.simd_width) ? o.simd_width : 0),
+        ni_const_(k.reqd_local[0] > 0 ? k.reqd_local[0] * k.reqd_local[1]
+                                      : 0) {}
 
   std::string run() {
     collect_labels();
-    collect_splat_elisions();
+    collect_zero_elisions();
     collect_fusions();
-    collect_vector_widths();
     prologue();
     for (std::size_t i = 0; i < p_.code.size(); ++i) {
-      if (is_target_[i]) line(strf("L%zu:;", i));
+      if (is_target_[i]) {
+        flush();  // a jump may enter here
+        line(strf("L%zu:;", i));
+      }
       if (fused_skip_.count(i) != 0) continue;  // folded into the next insn
+      const Insn& in = p_.code[i];
       const auto f = fused_.find(i);
-      if (f != fused_.end()) {
-        emit_fused(p_.code[f->second], p_.code[i]);
+      const Insn* prod = f != fused_.end() ? &p_.code[f->second] : nullptr;
+      if (item_op(in) && (prod == nullptr || item_op(*prod))) {
+        add_item(prod, in);
         continue;
       }
-      emit_insn(p_.code[i], i);
+      flush();
+      if (prod != nullptr) {
+        emit_fused_copy(*prod, in);  // into a local array: item order
+      } else {
+        emit_insn(in, i);
+      }
     }
+    flush();
     // A well-formed program ends in Halt, but guard the fall-through.
     line("goto L_done;");
     epilogue();
@@ -110,12 +143,65 @@ class Emitter {
   static std::string vi_ptr(std::int32_t r) {
     return strf("(vi + %d * NI)", r);
   }
-  static std::string vf_ptr(std::int32_t base) {
-    return strf("(vf + %d * NI)", base);
+
+  /// The lane-major slab index: the run of slot `s` over the work-items
+  /// starts at `slab + s*SN`, and item t's element is that run's [t].
+  static std::string slot_run(const std::string& slab, long long s) {
+    return strf("(%s + %lld * SN)", slab.c_str(), s);
   }
-  /// Wraps an arithmetic result in the f32 storage round when `rnd`.
-  static std::string rnd(bool on, const std::string& e) {
-    return on ? "(double)(float)(" + e + ")" : "(" + e + ")";
+  static std::string slot_run(const std::string& slab, const std::string& s) {
+    return "(" + slab + " + (" + s + ") * SN)";
+  }
+
+  // Chunk expressions for pass bodies: `v` items starting at `t` as one
+  // host vector, or the single item `t` when v == 0. `fn` names the
+  // vector helper: the integer slab (vi) uses ldi/sti/spli.
+  static std::string ld(int v, const std::string& p, const char* fn = "ld") {
+    return v > 0 ? strf("%s%d(%s + t)", fn, v, p.c_str()) : p + "[t]";
+  }
+  static std::string st(int v, const std::string& p, const std::string& e,
+                        const char* fn = "st") {
+    return v > 0 ? strf("%s%d(%s + t, %s); ", fn, v, p.c_str(), e.c_str())
+                 : p + "[t] = " + e + "; ";
+  }
+  static std::string spl(int v, const std::string& x,
+                         const char* fn = "spl") {
+    return v > 0 ? strf("%s%d(%s)", fn, v, x.c_str()) : x;
+  }
+  /// Wraps an arithmetic result in the f32 storage round when `on`.
+  static std::string rnd(int v, bool on, const std::string& e) {
+    if (!on) return "(" + e + ")";
+    return v > 0 ? strf("rnd%d(%s)", v, e.c_str())
+                 : "(double)(float)(" + e + ")";
+  }
+  static std::string vtype(int v) {
+    return v > 0 ? strf("vd%d", v) : "double";
+  }
+
+  /// Prints one pass over the work-items: `body(v)` returns the
+  /// statements for the chunk at `t` (see ld/st). The scalar tail is left
+  /// out when the work-group size is a compile-time multiple of the
+  /// vector width.
+  template <typename Body>
+  void pass(const Body& body) {
+    if (simd_ <= 0) {
+      line("for (long long t = 0; t < NI; ++t) { " + body(0) + "}");
+      return;
+    }
+    line("{ long long t = 0;");
+    line(strf("  for (; t + %d <= NI; t += %d) { ", simd_, simd_) +
+         body(simd_) + "}");
+    if (ni_const_ == 0 || ni_const_ % simd_ != 0)
+      line("  for (; t < NI; ++t) { " + body(0) + "}");
+    line("}");
+  }
+
+  /// Opens a `for (t ...)` over the work-items in item order, with the
+  /// mask test when the instruction honours divergence.
+  static std::string t_loop_open(bool masked) {
+    std::string s = "for (long long t = 0; t < NI; ++t) { ";
+    if (masked) s += "if (!mask[t]) continue; ";
+    return s;
   }
 
   /// `snprintf` into err + jump to the failure label. `fmt` is a literal
@@ -169,20 +255,22 @@ class Emitter {
     }
   }
 
-  /// Finds f-registers whose every writer is a SplatLaneP of identical
-  /// shape (same copied-lane count w < register width dw) and that live
-  /// inside the per-group zeroed slab prefix. Their upper lanes are zero
-  /// at every program point — the memset establishes it and each write
-  /// re-establishes it — so the per-write zero-fill only ever rewrites
-  /// zeros and can be dropped. This matters: GEMM inner loops pair each
-  /// FmaPP with a SplatLaneP into a wide accumulator-shaped register, and
-  /// the dead zero stores otherwise dominate the splat's memory traffic.
-  void collect_splat_elisions() {
-    std::map<std::int32_t, std::pair<int, int>> shape;  // base -> (w, dw)
+  /// Finds f-registers whose every writer is a SplatLaneP or an FMov of
+  /// one identical shape (same written-lane count n < register width dw)
+  /// and that live inside the per-group zeroed slab prefix. Their upper
+  /// lanes are zero at every program point — the memset establishes it
+  /// and each write re-establishes it — so the per-write zero-fill only
+  /// ever rewrites zeros and can be dropped. This matters: GEMM inner
+  /// loops widen each scalar A element into a 16-lane variable before the
+  /// FmaPP steps read its lane 0, and the dead zero stores otherwise
+  /// outnumber the multiply-adds.
+  void collect_zero_elisions() {
+    std::map<std::int32_t, std::pair<int, int>> shape;  // base -> (n, dw)
     std::set<std::int32_t> bad;
     for (const Insn& in : p_.code) {
       switch (in.op) {
-        case Op::SplatLaneP: {
+        case Op::SplatLaneP:
+        case Op::FMov: {
           const auto s = std::make_pair(static_cast<int>(in.lanes),
                                         static_cast<int>(in.b));
           const auto [it, fresh] = shape.emplace(in.dst, s);
@@ -192,7 +280,6 @@ class Emitter {
         // Every other way an f-register can be written disqualifies it.
         case Op::FConst:
         case Op::FArg:
-        case Op::FMov:
         case Op::FSplat:
         case Op::FLane:
         case Op::FAdd:
@@ -212,7 +299,7 @@ class Emitter {
       if (bad.count(base) != 0) continue;
       if (s.first >= s.second) continue;            // no fill to elide
       if (base + s.second > p_.n_vf_vars) continue;  // outside zeroed prefix
-      splat_zero_elide_.insert(base);
+      zero_elide_.insert(base);
     }
   }
 
@@ -255,12 +342,11 @@ class Emitter {
   /// broadcasts the splat source directly, and the load/store pair
   /// becomes one copy loop without the register round-trip. Fusing needs
   /// the consumer to not be a jump target (entering mid-pair would skip
-  /// the producer). Cross-item hazards rule out same-array local copies:
-  /// the VM completes every item's load before the first store, and the
-  /// fused loop interleaves them, which only a shared overlapping range
-  /// could observe (private slabs are per-item, globals are load-only
-  /// here, and distinct arrays occupy disjoint slab ranges). SIMD mode
-  /// only — the scalar emitter stays the reference PR 6 translation.
+  /// the producer). A copy within one array is never fused: the VM loads
+  /// every lane of every item before the first store, and the fused copy
+  /// interleaves them, which an overlapping range could observe (distinct
+  /// arrays occupy disjoint slab ranges, and globals are load-only here).
+  /// SIMD mode only — the scalar emitter stays the reference translation.
   void collect_fusions() {
     if (simd_ <= 0) return;
     std::map<std::int32_t, std::vector<std::size_t>> cand;
@@ -278,9 +364,7 @@ class Emitter {
       const bool b_store = b.op == Op::StoreL || b.op == Op::StoreP;
       if (a_load && b_store && b.c == a.dst && b.lanes == a.lanes &&
           !(a.flags & kMasked) && !(b.flags & kMasked)) {
-        const bool a_local = a.op == Op::LoadL;
-        const bool b_local = b.op == Op::StoreL;
-        if (a_local && b_local && a.a == b.a) continue;  // may overlap
+        if (a.op != Op::LoadG && a.a == b.a) continue;  // may overlap
         cand[a.dst].push_back(i);
       }
     }
@@ -305,89 +389,87 @@ class Emitter {
     }
   }
 
-  /// True when a lane count can be a GCC vector width (power of two, up
-  /// to 16 doubles — 128 bytes, which GCC synthesizes on any target).
-  static bool vectorizable_width(int w) {
-    return w == 2 || w == 4 || w == 8 || w == 16;
-  }
-
-  /// Collects the vector widths the SIMD emission will reference, so the
-  /// prologue defines exactly those typedefs/helpers: the host chunk
-  /// width for the flattened unmasked FP ops, plus each FmaPP register
-  /// width (its lanes are processed as one vector per work-item), plus
-  /// the lane counts of unmasked memory ops whose per-item copies become
-  /// one vector load/store pair (f64 only for the global ops — the f32
-  /// paths convert element widths and stay scalar).
-  void collect_vector_widths() {
-    if (simd_ <= 0) return;
-    vwidths_.insert(simd_);
-    for (const Insn& in : p_.code) {
-      if (in.op == Op::SplatLaneP && vectorizable_width(in.b))
-        vwidths_.insert(static_cast<int>(in.b));
-      if (!vectorizable_width(in.lanes)) continue;
-      switch (in.op) {
-        case Op::FmaPP:
-        case Op::SplatLaneP:
-          vwidths_.insert(static_cast<int>(in.lanes));
-          break;
-        case Op::LoadL:
-        case Op::StoreL:
-        case Op::LoadP:
-        case Op::StoreP:
-          if (!(in.flags & kMasked))
-            vwidths_.insert(static_cast<int>(in.lanes));
-          break;
-        case Op::LoadG:
-          if (!(in.flags & kMasked) && !(in.aux & kElemF32))
-            vwidths_.insert(static_cast<int>(in.lanes));
-          break;
-        default:
-          break;
-      }
-    }
-  }
-
   // ---- prologue / epilogue --------------------------------------------------
 
   void prologue() {
-    raw(strf("// Generated by the gemmtune native backend (emitter v2, "
+    raw(strf("// Generated by the gemmtune native backend (emitter v3, "
              "%s) for\n",
              simd_ > 0 ? strf("simd w=%d", simd_).c_str() : "scalar"));
     raw("// kernel '" + k_.name + "'. Mirrors kernelir/vm.cpp semantics.\n");
     raw("#include <cstddef>\n#include <cstdio>\n#include <cstring>\n\n");
-    // Fixed-width vector lanes (GCC/Clang vector extensions). Loads and
-    // stores go through memcpy so the slab pointers need no alignment;
-    // rndN converts every lane double->float->double individually
-    // (__builtin_convertvector is an element-wise IEEE conversion), which
-    // is exactly the VM's (double)(float) rounding chain — no
-    // re-association is possible because the narrowing is explicit per
-    // element inside the vector body.
-    if (!vwidths_.empty()) {
+    // Host-width vectors over consecutive work-items (GCC/Clang vector
+    // extensions). Loads and stores go through memcpy so the slab
+    // pointers need no alignment; rndN converts every lane
+    // double->float->double individually, which is exactly the VM's
+    // (double)(float) rounding chain (GCC 12 splits the generic 8-lane
+    // widening into 128-bit pieces, so AVX-512 uses the instructions
+    // directly). The gathers read one element per item at that item's
+    // own index (`gatp`/`sctp`: a private slot, whose run for item j is
+    // offset by j). The helpers are forced inline: a whole kernel is one
+    // function, past the size where GCC stops inlining on its own.
+    if (simd_ > 0) {
+      const int s = simd_;
+      const auto lanes = [s](const auto& elem) {
+        std::string l;
+        for (int j = 0; j < s; ++j) l += (j ? ", " : "") + elem(j);
+        return l;
+      };
+      const auto def = [this](const std::string& d) {
+        raw("inline __attribute__((always_inline)) " + d + "\n");
+      };
+      const std::string vd = strf("vd%d", s), vl = strf("vl%d", s);
+      if (s == 8)
+        raw("#if defined(__AVX512F__)\n#include <immintrin.h>\n#endif\n");
       raw("namespace {\n");
-      for (const int vw : vwidths_) {
-        raw(strf("typedef double vd%d __attribute__((vector_size(%d)));\n",
-                 vw, 8 * vw));
-        raw(strf("typedef float vs%d __attribute__((vector_size(%d)));\n",
-                 vw, 4 * vw));
-        raw(strf("inline vd%d ld%d(const double* p) "
-                 "{ vd%d v; __builtin_memcpy(&v, p, sizeof v); return v; }\n",
-                 vw, vw, vw));
-        raw(strf("inline void st%d(double* p, vd%d v) "
-                 "{ __builtin_memcpy(p, &v, sizeof v); }\n",
-                 vw, vw));
-        raw(strf("inline vd%d rnd%d(vd%d v) "
-                 "{ return __builtin_convertvector("
-                 "__builtin_convertvector(v, vs%d), vd%d); }\n",
-                 vw, vw, vw, vw, vw));
-        raw(strf("typedef long long vl%d __attribute__((vector_size(%d)));\n",
-                 vw, 8 * vw));
-        raw(strf("inline vl%d ldi%d(const long long* p) "
-                 "{ vl%d v; __builtin_memcpy(&v, p, sizeof v); return v; }\n",
-                 vw, vw, vw));
-        raw(strf("inline void sti%d(long long* p, vl%d v) "
-                 "{ __builtin_memcpy(p, &v, sizeof v); }\n",
-                 vw, vw));
+      raw(strf("typedef double %s __attribute__((vector_size(%d)));\n",
+               vd.c_str(), 8 * s));
+      raw(strf("typedef float vs%d __attribute__((vector_size(%d)));\n", s,
+               4 * s));
+      raw(strf("typedef long long %s __attribute__((vector_size(%d)));\n",
+               vl.c_str(), 8 * s));
+      def(strf("%s ld%d(const double* p) ", vd.c_str(), s) +
+          "{ " + vd + " v; __builtin_memcpy(&v, p, sizeof v); return v; }");
+      def(strf("void st%d(double* p, %s v) ", s, vd.c_str()) +
+          "{ __builtin_memcpy(p, &v, sizeof v); }");
+      const std::string generic_rnd = strf(
+          "{ return __builtin_convertvector(__builtin_convertvector(v, vs%d), "
+          "%s); }",
+          s, vd.c_str());
+      if (s == 8) {
+        raw("#if defined(__AVX512F__)\n");
+        def("vd8 rnd8(vd8 v) { return (vd8)_mm512_cvtps_pd("
+            "_mm512_cvtpd_ps((__m512d)v)); }");
+        raw("#else\n");
       }
+      def(strf("%s rnd%d(%s v) ", vd.c_str(), s, vd.c_str()) + generic_rnd);
+      if (s == 8) raw("#endif\n");
+      def(strf("%s spl%d(double x) { return %s{", vd.c_str(), s, vd.c_str()) +
+          lanes([](int) { return std::string("x"); }) + "}; }");
+      def(strf("%s spli%d(long long x) { return %s{", vl.c_str(), s,
+               vl.c_str()) +
+          lanes([](int) { return std::string("x"); }) + "}; }");
+      def(strf("%s ldi%d(const long long* p) ", vl.c_str(), s) + "{ " + vl +
+          " v; __builtin_memcpy(&v, p, sizeof v); return v; }");
+      def(strf("void sti%d(long long* p, %s v) ", s, vl.c_str()) +
+          "{ __builtin_memcpy(p, &v, sizeof v); }");
+      def(strf("%s gat%d(const double* p, const long long* i) { return %s{",
+               vd.c_str(), s, vd.c_str()) +
+          lanes([](int j) { return strf("p[i[%d]]", j); }) + "}; }");
+      def(strf("%s gatf%d(const float* p, const long long* i) { return %s{",
+               vd.c_str(), s, vd.c_str()) +
+          lanes([](int j) { return strf("(double)p[i[%d]]", j); }) + "}; }");
+      def(strf("%s gatp%d(const double* p, const long long* i, long long ni) "
+               "{ return %s{",
+               vd.c_str(), s, vd.c_str()) +
+          lanes([](int j) { return strf("p[i[%d] * ni + %d]", j, j); }) +
+          "}; }");
+      std::string sct;
+      for (int j = 0; j < s; ++j)
+        sct += strf(" p[i[%d] * ni + %d] = v[%d];", j, j, j);
+      def(strf("void sctp%d(double* p, const long long* i, long long ni, "
+               "%s v) {",
+               s, vd.c_str()) +
+          sct + " }");
       raw("}  // namespace\n\n");
     }
     // Bit-exact floating constant pool, materialized at dlopen time.
@@ -424,23 +506,24 @@ class Emitter {
       line(strf("constexpr long long LSX = %lld, LSY = %lld;",
                 static_cast<long long>(k_.reqd_local[0]),
                 static_cast<long long>(k_.reqd_local[1])));
-      line("constexpr long long NI = LSX * LSY;");
+      line("constexpr long long NI = LSX * LSY, SN = NI + 8;");
     } else {
       line("const long long LSX = local0, LSY = local1;");
-      line("const long long NI = LSX * LSY;");
+      line("const long long NI = LSX * LSY, SN = NI + 8;");
     }
     line("(void)LSY;");
     line("const long long ngx = global0 / LSX;");
-    // Scratch slabs: the VM's register-file layout, heap-allocated once
-    // per call and reused across the whole group range.
+    // Scratch slabs: the VM's register-file sizes (lane-major, see the
+    // file comment), heap-allocated once per call and reused across the
+    // whole group range.
     line(strf("long long* const u = new long long[%d];",
               p_.n_u > 0 ? p_.n_u : 1));
     line(strf("long long* const vi = new long long[(std::size_t)(%d * NI)"
               " + 1];",
               p_.n_vi));
-    line(strf("double* const vf = new double[(std::size_t)(%d * NI) + 1];",
+    line(strf("double* const vf = new double[(std::size_t)(%d * SN) + 1];",
               p_.n_vf));
-    line(strf("double* const parr = new double[(std::size_t)(%lld * NI)"
+    line(strf("double* const parr = new double[(std::size_t)(%lld * SN)"
               " + 1];",
               static_cast<long long>(p_.parr_doubles)));
     line(strf("double* const larr = new double[%lld];",
@@ -469,11 +552,11 @@ class Emitter {
                 p_.n_vi_vars));
     if (p_.n_vf_vars > 0)
       line(strf("  std::memset(vf, 0, sizeof(double) * "
-                "(std::size_t)(%d * NI));",
+                "(std::size_t)(%d * SN));",
                 p_.n_vf_vars));
     if (p_.parr_doubles > 0)
       line(strf("  std::memset(parr, 0, sizeof(double) * "
-                "(std::size_t)(%lld * NI));",
+                "(std::size_t)(%lld * SN));",
                 static_cast<long long>(p_.parr_doubles)));
     if (p_.larr_doubles > 0)
       line(strf("  std::memset(larr, 0, sizeof(double) * %lld);",
@@ -500,15 +583,322 @@ class Emitter {
     raw("}\n");
   }
 
-  // ---- per-instruction translation ------------------------------------------
+  // ---- merged passes --------------------------------------------------------
 
-  /// Opens a `for (t ...)` over the work-items, with the mask test when
-  /// the instruction honours divergence.
-  std::string t_loop_open(bool masked) const {
-    std::string s = "for (long long t = 0; t < NI; ++t) { ";
-    if (masked) s += "if (!mask[t]) continue; ";
-    return s;
+  /// True when `in` can run inside a merged pass: unmasked, each item
+  /// touches only its own register and private slots (besides reading
+  /// local, global and uniform values, which no item op writes), and its
+  /// only runtime check is a bounds check hoistable ahead of the pass.
+  static bool item_op(const Insn& in) {
+    if (in.flags & kMasked) return false;
+    switch (in.op) {
+      case Op::VAdd:
+      case Op::VSub:
+      case Op::VMul:
+      case Op::VLt:
+      case Op::VAnd:
+      case Op::VMovU:
+      case Op::VMov:
+      case Op::FConst:
+      case Op::FArg:
+      case Op::FMov:
+      case Op::FSplat:
+      case Op::FLane:
+      case Op::FAdd:
+      case Op::FSub:
+      case Op::FMul:
+      case Op::FMad:
+      case Op::FmaPP:
+      case Op::SplatLaneP:
+      case Op::LoadG:
+      case Op::LoadL:
+      case Op::LoadP:
+      case Op::StoreP:
+        return true;
+      default:
+        return false;
+    }
   }
+
+  /// Adds an item op (with its fused producer, if any) to the open group.
+  /// A hoisted check must see the address registers as they are when its
+  /// instruction runs, so a check reading a varying register an earlier
+  /// group member writes closes the group first.
+  void add_item(const Insn* prod, const Insn& in) {
+    for (const Insn* m : {prod, &in}) {
+      if (m == nullptr || !has_check(*m) || uniform_addr(*m)) continue;
+      if (group_vi_.count(m->b) != 0) {
+        flush();
+        break;
+      }
+    }
+    group_.push_back({prod, &in});
+    if (in.op >= Op::VBuiltin && in.op <= Op::VMov) group_vi_.insert(in.dst);
+  }
+
+  /// Prints the open group as one pass over the work-items: every
+  /// member's declarations and hoisted checks in program order (the first
+  /// failing check is the one the VM reports; everything the members
+  /// write before it is scratch), then the members' per-item bodies in
+  /// program order — each item still runs its instructions in order, and
+  /// items share nothing a member writes — then the counters.
+  void flush() {
+    if (group_.empty()) return;
+    line("{");
+    for (std::size_t k = 0; k < group_.size(); ++k) {
+      const Item& it = group_[k];
+      if (it.prod != nullptr) {
+        item_prep(*it.prod, strf("a%zu", k));
+        item_prep(*it.in, strf("b%zu", k));
+      } else {
+        item_prep(*it.in, strf("%zu", k));
+      }
+    }
+    pass([&](int v) {
+      std::string s;
+      for (std::size_t k = 0; k < group_.size(); ++k) {
+        const Item& it = group_[k];
+        s += it.prod != nullptr
+                 ? fused_body(*it.prod, *it.in, v, strf("%zu", k))
+                 : item_body(*it.in, v, strf("%zu", k));
+      }
+      return s;
+    });
+    for (const Item& it : group_) {
+      const std::string c = item_count(*it.in) +
+                            (it.prod != nullptr ? item_count(*it.prod) : "");
+      if (!c.empty()) line(c);
+    }
+    line("}");
+    group_.clear();
+    group_vi_.clear();
+  }
+
+  static bool has_check(const Insn& in) {
+    return in.op == Op::LoadG || in.op == Op::StoreG || in.op == Op::LoadL ||
+           in.op == Op::StoreL || in.op == Op::LoadP || in.op == Op::StoreP;
+  }
+
+  /// Declarations and the hoisted bounds check of one group member.
+  void item_prep(const Insn& in, const std::string& sfx) {
+    if (in.op == Op::FArg) {
+      line(strf("double x%s = arg_f[%d];", sfx.c_str(), in.a));
+      if (in.aux & kRoundF32)
+        line(strf("x%s = (double)(float)x%s;", sfx.c_str(), sfx.c_str()));
+      return;
+    }
+    if (!has_check(in)) return;
+    if (in.op == Op::LoadG) {
+      const bool f32 = (in.aux & kElemF32) != 0;
+      line(strf("const %s* const gp%s = %s[%d];", f32 ? "float" : "double",
+                sfx.c_str(), f32 ? "arg_f32" : "arg_f64", in.a));
+      line(strf("const long long en%s = arg_elems[%d];", sfx.c_str(), in.a));
+    }
+    emit_addr(in, sfx);
+    emit_range_check(in, sfx);
+  }
+
+  /// Counter update for a member's whole pass, or (`per_item`) for one
+  /// active item of its masked form; "" when the op counts nothing.
+  static std::string item_count(const Insn& in, bool per_item = false) {
+    const auto add = [per_item](const char* c, int k) {
+      return per_item ? strf("%s += %d; ", c, k)
+                      : strf("%s += (unsigned long long)(%d * NI); ", c, k);
+    };
+    const int w = in.lanes;
+    switch (in.op) {
+      case Op::FAdd:
+      case Op::FSub:
+      case Op::FMul:
+        return add("c_flops", w);
+      case Op::FMad:
+      case Op::FmaPP:
+        return add("c_flops", 2 * w) +
+               (per_item ? "++c_mads; " : "c_mads += (unsigned long long)NI; ");
+      case Op::LoadG:
+      case Op::StoreG:
+        return add(in.op == Op::LoadG ? "c_gld" : "c_gst",
+                   w * ((in.aux & kElemF32) ? 4 : 8));
+      case Op::LoadL:
+      case Op::StoreL:
+        return add(in.op == Op::LoadL ? "c_lld" : "c_lst",
+                   w * ((in.aux & kCount8) ? 8 : 4));
+      default:
+        return "";
+    }
+  }
+
+  /// Per-item body of a group member for the chunk at `t` (see ld/st).
+  std::string item_body(const Insn& in, int v, const std::string& sfx) {
+    const int w = in.lanes;
+    const std::string f = "vf";
+    std::string s;
+    switch (in.op) {
+      case Op::VAdd:
+      case Op::VSub:
+      case Op::VMul:
+      case Op::VLt:
+      case Op::VAnd: {
+        // Vector compares yield 0/-1 per lane, masked down to the 0/1 the
+        // scalar ?: forms produce.
+        const auto opnd = [&](bool uni, std::int32_t r) {
+          return uni ? spl(v, u(r), "spli") : ld(v, vi_ptr(r), "ldi");
+        };
+        const std::string xa = opnd(in.flags & kAUni, in.a);
+        const std::string xb = opnd(in.flags & kBUni, in.b);
+        std::string e;
+        switch (in.op) {
+          case Op::VAdd: e = xa + " + " + xb; break;
+          case Op::VSub: e = xa + " - " + xb; break;
+          case Op::VMul: e = xa + " * " + xb; break;
+          case Op::VLt:
+            e = v > 0 ? "((" + xa + " < " + xb + ") & 1)"
+                      : "((" + xa + " < " + xb + ") ? 1 : 0)";
+            break;
+          default:
+            e = v > 0 ? "(((" + xa + " != 0) & (" + xb + " != 0)) & 1)"
+                      : "((" + xa + " != 0 && " + xb + " != 0) ? 1 : 0)";
+            break;
+        }
+        return st(v, vi_ptr(in.dst), e, "sti");
+      }
+      case Op::VMovU:
+        return st(v, vi_ptr(in.dst), spl(v, u(in.a), "spli"), "sti");
+      case Op::VMov:
+        return st(v, vi_ptr(in.dst), ld(v, vi_ptr(in.a), "ldi"), "sti");
+      case Op::FConst:
+        for (int l = 0; l < w; ++l)
+          s += st(v, slot_run(f, in.dst + l),
+                  spl(v, strf("kFpool.v[%lld]",
+                              static_cast<long long>(in.imm) + l)));
+        return s;
+      case Op::FArg:
+        s = st(v, slot_run(f, in.dst), spl(v, "x" + sfx));
+        for (int l = 1; l < w; ++l)
+          s += st(v, slot_run(f, in.dst + l), spl(v, "0.0"));
+        return s;
+      case Op::FMov: {
+        // Lanes [0, n) copy, lanes [n, dw) zero-fill (unless elided).
+        const int dw = in.b;
+        for (int l = 0; l < w; ++l)
+          s += st(v, slot_run(f, in.dst + l), ld(v, slot_run(f, in.a + l)));
+        if (zero_elide_.count(in.dst) == 0)
+          for (int l = w; l < dw; ++l)
+            s += st(v, slot_run(f, in.dst + l), spl(v, "0.0"));
+        return s;
+      }
+      case Op::FSplat:
+        s = "{ const " + vtype(v) + " x = " + ld(v, slot_run(f, in.a)) + "; ";
+        for (int l = 0; l < w; ++l) s += st(v, slot_run(f, in.dst + l), "x");
+        return s + "} ";
+      case Op::FLane: {
+        const auto ln = static_cast<int>(in.imm);
+        return st(v, slot_run(f, in.dst),
+                  ln < in.aux ? ld(v, slot_run(f, in.a + ln)) : spl(v, "0.0"));
+      }
+      case Op::FAdd:
+      case Op::FSub:
+      case Op::FMul:
+      case Op::FMad: {
+        const bool f32 = (in.aux & kRoundF32) != 0;
+        const char* op = in.op == Op::FAdd ? " + "
+                         : in.op == Op::FSub ? " - "
+                                             : " * ";
+        for (int l = 0; l < w; ++l) {
+          const auto at = [&](std::int32_t r) {
+            return ld(v, slot_run(f, r + l));
+          };
+          s += st(v, slot_run(f, in.dst + l),
+                  rnd(v, f32,
+                      in.op == Op::FMad
+                          ? at(in.a) + " * " + at(in.b) + " + " + at(in.c)
+                          : at(in.a) + op + at(in.b)));
+        }
+        return s;
+      }
+      case Op::FmaPP: {
+        const ArrayRef& cr = p_.arrays[static_cast<std::size_t>(in.a)];
+        const ArrayRef& br = p_.arrays[static_cast<std::size_t>(in.b)];
+        const bool f32 = (in.aux & kRoundF32) != 0;
+        for (int l = 0; l < w; ++l) {
+          const std::string cp = slot_run("parr", cr.offset + in.dst + l);
+          s += st(v, cp,
+                  rnd(v, f32,
+                      ld(v, slot_run(f, in.c + l)) + " * " +
+                          ld(v, slot_run("parr", br.offset + in.imm + l)) +
+                          " + " + ld(v, cp)));
+        }
+        return s;
+      }
+      case Op::SplatLaneP: {
+        const ArrayRef& ar = p_.arrays[static_cast<std::size_t>(in.a)];
+        s = "{ const " + vtype(v) + " x = " +
+            ld(v, slot_run("parr", ar.offset + in.imm)) + "; ";
+        for (int l = 0; l < w; ++l) s += st(v, slot_run(f, in.dst + l), "x");
+        if (zero_elide_.count(in.dst) == 0)
+          for (int l = w; l < in.b; ++l)
+            s += st(v, slot_run(f, in.dst + l), spl(v, "0.0"));
+        return s + "} ";
+      }
+      case Op::LoadG:
+      case Op::LoadL:
+      case Op::LoadP:
+        for (int l = 0; l < w; ++l)
+          s += st(v, slot_run(f, in.dst + l), mem_elem(in, l, v, sfx));
+        return s;
+      case Op::StoreL:
+      case Op::StoreP:
+        for (int l = 0; l < w; ++l)
+          s += mem_store(in, l, v, ld(v, slot_run(f, in.c + l)), sfx);
+        return s;
+      default:
+        break;
+    }
+    fail(strf("native emit: opcode %d is not an item op",
+              static_cast<int>(in.op)));
+  }
+
+  /// Per-item body of a fused producer/consumer pair (collect_fusions).
+  /// SplatLaneP + FmaPP: the rank-1 update broadcasts the splat source
+  /// directly — within one item the splat read still precedes the FmaPP
+  /// write. Load + store: one copy without the register round-trip.
+  std::string fused_body(const Insn& prod, const Insn& cons, int v,
+                         const std::string& k) {
+    if (prod.op != Op::SplatLaneP) {
+      std::string s;
+      for (int l = 0; l < cons.lanes; ++l)
+        s += mem_store(cons, l, v, mem_elem(prod, l, v, "a" + k), "b" + k);
+      return s;
+    }
+    const ArrayRef& sar = p_.arrays[static_cast<std::size_t>(prod.a)];
+    const ArrayRef& cr = p_.arrays[static_cast<std::size_t>(cons.a)];
+    const ArrayRef& br = p_.arrays[static_cast<std::size_t>(cons.b)];
+    const bool f32 = (cons.aux & kRoundF32) != 0;
+    std::string s = "{ const " + vtype(v) + " x = " +
+                    ld(v, slot_run("parr", sar.offset + prod.imm)) + "; ";
+    for (int l = 0; l < cons.lanes; ++l) {
+      const std::string cp = slot_run("parr", cr.offset + cons.dst + l);
+      s += st(v, cp,
+              rnd(v, f32,
+                  "x * " + ld(v, slot_run("parr", br.offset + cons.imm + l)) +
+                      " + " + ld(v, cp)));
+    }
+    return s + "} ";
+  }
+
+  /// A fused load + local store: one copy loop in item order, both bounds
+  /// checks hoisted (load check first — its failure message wins, exactly
+  /// the VM's execution order).
+  void emit_fused_copy(const Insn& ld_in, const Insn& st_in) {
+    line("{");
+    item_prep(ld_in, "a0");
+    item_prep(st_in, "b0");
+    line(t_loop_open(false) + fused_body(ld_in, st_in, 0, "0") + "}");
+    line(item_count(ld_in) + item_count(st_in));
+    line("}");
+  }
+
+  // ---- per-instruction translation (everything but item ops) ----------------
 
   void emit_insn(const Insn& in, std::size_t pc) {
     const bool masked = (in.flags & kMasked) != 0;
@@ -569,475 +959,85 @@ class Emitter {
         } else {
           expr = builtin_expr(in.aux);
         }
-        line("{ long long* const dst = " + vi_ptr(in.dst) + ";");
-        line("  " + t_loop_open(false) + "dst[t] = " + expr + "; } }");
+        line(t_loop_open(false) + vi_ptr(in.dst) + "[t] = " + expr + "; }");
+        return;
+      }
+      case Op::VDiv:
+      case Op::VMod: {
+        const bool div = in.op == Op::VDiv;
+        const auto opnd = [&](bool uni, std::int32_t r) {
+          return uni ? u(r) : ld(0, vi_ptr(r));
+        };
+        line(t_loop_open(masked) + "const long long y = " +
+             opnd(in.flags & kBUni, in.b) + "; if (y == 0) " +
+             fail_msg(div ? "interp: integer division by zero"
+                          : "interp: integer modulo by zero") +
+             " " + vi_ptr(in.dst) + "[t] = " + opnd(in.flags & kAUni, in.a) +
+             (div ? " / y; }" : " % y; }"));
         return;
       }
       case Op::VAdd:
       case Op::VSub:
       case Op::VMul:
       case Op::VLt:
-      case Op::VAnd: {
-        std::string xa, xb;
-        line("{ long long* const dst = " + vi_ptr(in.dst) + ";");
-        if (in.flags & kAUni) {
-          line("  const long long xa = " + u(in.a) + ";");
-          xa = "xa";
-        } else {
-          line("  const long long* const pa = " + vi_ptr(in.a) + ";");
-          xa = "pa[t]";
-        }
-        if (in.flags & kBUni) {
-          line("  const long long xb = " + u(in.b) + ";");
-          xb = "xb";
-        } else {
-          line("  const long long* const pb = " + vi_ptr(in.b) + ";");
-          xb = "pb[t]";
-        }
-        std::string expr;
-        switch (in.op) {
-          case Op::VAdd: expr = xa + " + " + xb; break;
-          case Op::VSub: expr = xa + " - " + xb; break;
-          case Op::VMul: expr = xa + " * " + xb; break;
-          case Op::VLt: expr = "(" + xa + " < " + xb + ") ? 1 : 0"; break;
-          default:
-            expr = "(" + xa + " != 0 && " + xb + " != 0) ? 1 : 0";
-            break;
-        }
-        if (simd_ > 0) {
-          // Explicit vectors: integer lane arithmetic is exact, and vector
-          // compares yield 0/-1 per lane, masked down to the 0/1 the
-          // scalar ?: forms produce. Uniform operands splat once.
-          const std::string va =
-              (in.flags & kAUni) ? "uva" : strf("ldi%d(pa + t)", simd_);
-          const std::string vb =
-              (in.flags & kBUni) ? "uvb" : strf("ldi%d(pb + t)", simd_);
-          std::string vexpr;
-          switch (in.op) {
-            case Op::VAdd: vexpr = va + " + " + vb; break;
-            case Op::VSub: vexpr = va + " - " + vb; break;
-            case Op::VMul: vexpr = va + " * " + vb; break;
-            case Op::VLt: vexpr = "((" + va + " < " + vb + ") & 1)"; break;
-            default:
-              vexpr = "(((" + va + " != 0) & (" + vb + " != 0)) & 1)";
-              break;
-          }
-          if (in.flags & kAUni)
-            line(strf("  const vl%d uva = ", simd_) +
-                 splat_list("xa", simd_) + ";");
-          if (in.flags & kBUni)
-            line(strf("  const vl%d uvb = ", simd_) +
-                 splat_list("xb", simd_) + ";");
-          line("  long long t = 0;");
-          line(strf("  for (; t + %d <= NI; t += %d) sti%d(dst + t, ", simd_,
-                    simd_, simd_) +
-               vexpr + ");");
-          line("  for (; t < NI; ++t) dst[t] = " + expr + ";");
-          line("}");
-          return;
-        }
-        line("  " + t_loop_open(false) + "dst[t] = " + expr + "; } }");
-        return;
-      }
-      case Op::VDiv:
-      case Op::VMod: {
-        const bool div = in.op == Op::VDiv;
-        std::string xa, xb;
-        line("{ long long* const dst = " + vi_ptr(in.dst) + ";");
-        if (in.flags & kAUni) {
-          line("  const long long xa = " + u(in.a) + ";");
-          xa = "xa";
-        } else {
-          line("  const long long* const pa = " + vi_ptr(in.a) + ";");
-          xa = "pa[t]";
-        }
-        if (in.flags & kBUni) {
-          line("  const long long xb = " + u(in.b) + ";");
-          xb = "xb";
-        } else {
-          line("  const long long* const pb = " + vi_ptr(in.b) + ";");
-          xb = "pb[t]";
-        }
-        line("  " + t_loop_open(masked));
-        line("    const long long y = " + xb + ";");
-        line("    if (y == 0) " +
-             fail_msg(div ? "interp: integer division by zero"
-                          : "interp: integer modulo by zero"));
-        line("    dst[t] = " + xa + (div ? " / y; } }" : " % y; } }"));
-        return;
-      }
+      case Op::VAnd:
       case Op::VMovU:
-        line("{ long long* const dst = " + vi_ptr(in.dst) + ";");
-        line("  const long long v = " + u(in.a) + ";");
-        if (simd_ > 0 && !masked) {
-          line(strf("  const vl%d vv = ", simd_) + splat_list("v", simd_) +
-               ";");
-          line("  long long t = 0;");
-          line(strf("  for (; t + %d <= NI; t += %d) sti%d(dst + t, vv);",
-                    simd_, simd_, simd_));
-          line("  for (; t < NI; ++t) dst[t] = v;");
-          line("}");
-          return;
-        }
-        line("  " + t_loop_open(masked) + "dst[t] = v; } }");
-        return;
       case Op::VMov:
-        line("{ long long* const dst = " + vi_ptr(in.dst) + ";");
-        line("  const long long* const src = " + vi_ptr(in.a) + ";");
-        if (simd_ > 0 && !masked) {
-          // A register-to-register move is one contiguous slab copy.
-          line("  __builtin_memcpy(dst, src, sizeof(long long) * "
-               "(std::size_t)NI);");
-          line("}");
-          return;
-        }
-        line("  " + t_loop_open(masked) + "dst[t] = src[t]; } }");
-        return;
-      case Op::FConst: {
-        line("{ double* const dst = " + vf_ptr(in.dst) + ";");
-        line("  " + t_loop_open(false));
-        for (int l = 0; l < w; ++l)
-          line(strf("    dst[t * %d + %d] = kFpool.v[%lld];", w, l,
-                    static_cast<long long>(in.imm) + l));
-        line("  } }");
-        return;
-      }
-      case Op::FArg: {
-        line("{ double* const dst = " + vf_ptr(in.dst) + ";");
-        line(strf("  double x = arg_f[%d];", in.a));
-        if (in.aux & kRoundF32) line("  x = (double)(float)x;");
-        line("  " + t_loop_open(false));
-        line(strf("    dst[t * %d] = x;", w));
-        for (int l = 1; l < w; ++l)
-          line(strf("    dst[t * %d + %d] = 0.0;", w, l));
-        line("  } }");
-        return;
-      }
-      case Op::FMov: {
-        const int dw = in.b, sw = in.c, n = in.lanes;
-        line("{ double* const dst = " + vf_ptr(in.dst) + ";");
-        line("  const double* const src = " + vf_ptr(in.a) + ";");
-        if (simd_ > 0 && !masked && n == dw && n == sw) {
-          // Full-width register move: one contiguous slab copy.
-          line(strf("  __builtin_memcpy(dst, src, sizeof(double) * "
-                    "(std::size_t)(%d * NI));",
-                    n));
-          line("}");
-          return;
-        }
-        line("  " + t_loop_open(masked));
-        for (int l = 0; l < n; ++l)
-          line(strf("    dst[t * %d + %d] = src[t * %d + %d];", dw, l, sw, l));
-        for (int l = n; l < dw; ++l)
-          line(strf("    dst[t * %d + %d] = 0.0;", dw, l));
-        line("  } }");
-        return;
-      }
-      case Op::FSplat: {
-        const int sw = in.aux;
-        line("{ double* const dst = " + vf_ptr(in.dst) + ";");
-        line("  const double* const src = " + vf_ptr(in.a) + ";");
-        line("  " + t_loop_open(false));
-        line(strf("    const double x = src[t * %d];", sw));
-        for (int l = 0; l < w; ++l)
-          line(strf("    dst[t * %d + %d] = x;", w, l));
-        line("  } }");
-        return;
-      }
-      case Op::FLane: {
-        const int sw = in.aux;
-        const auto ln = static_cast<int>(in.imm);
-        line("{ double* const dst = " + vf_ptr(in.dst) + ";");
-        line("  const double* const src = " + vf_ptr(in.a) + ";");
-        if (ln < sw) {
-          line("  " + t_loop_open(false) +
-               strf("dst[t] = src[t * %d + %d]; } }", sw, ln));
-        } else {
-          line("  (void)src;");
-          line("  " + t_loop_open(false) + "dst[t] = 0.0; } }");
-        }
-        return;
-      }
+      case Op::FMov:
       case Op::FAdd:
       case Op::FSub:
-      case Op::FMul: {
-        const bool f32 = (in.aux & kRoundF32) != 0;
-        const char* op = in.op == Op::FAdd ? "+" : in.op == Op::FSub ? "-"
-                                                                     : "*";
-        if (simd_ > 0 && !masked) {
-          // Lane-wise over the whole register slab: lanes of consecutive
-          // work-items are contiguous (vf[base*NI + t*w + l]), so the
-          // t/l loops flatten into one run of w*NI doubles chunked at
-          // the host vector width with a scalar tail.
-          line("{ double* const dst = " + vf_ptr(in.dst) + ";");
-          line("  const double* const a = " + vf_ptr(in.a) + ";");
-          line("  const double* const b = " + vf_ptr(in.b) + ";");
-          line(strf("  const long long ne = (long long)%d * NI;", w));
-          line("  long long i = 0;");
-          line(strf("  for (; i + %d <= ne; i += %d) {", simd_, simd_));
-          const std::string ve =
-              strf("ld%d(a + i) %s ld%d(b + i)", simd_, op, simd_);
-          line(strf("    st%d(dst + i, ", simd_) +
-               (f32 ? strf("rnd%d(", simd_) + ve + ")" : ve) + ");");
-          line("  }");
-          line("  for (; i < ne; ++i) dst[i] = " +
-               rnd(f32, strf("a[i] %s b[i]", op)) + ";");
-          line(strf("  c_flops += (unsigned long long)(%d * NI);", w));
-          line("}");
-          return;
-        }
-        line("{ double* const dst = " + vf_ptr(in.dst) + ";");
-        line("  const double* const a = " + vf_ptr(in.a) + ";");
-        line("  const double* const b = " + vf_ptr(in.b) + ";");
-        line("  " + t_loop_open(masked));
-        for (int l = 0; l < w; ++l) {
-          const std::string e = strf("a[t * %d + %d] %s b[t * %d + %d]", w, l,
-                                     op, w, l);
-          line(strf("    dst[t * %d + %d] = ", w, l) + rnd(f32, e) + ";");
-        }
-        if (masked) line(strf("    c_flops += %d;", w));
-        line("  }");
-        if (!masked)
-          line(strf("  c_flops += (unsigned long long)(%d * NI);", w));
-        line("}");
+      case Op::FMul:
+      case Op::FMad:
+        // Masked forms (the unmasked ones are item ops): per item, skipping
+        // inactive items, counting per active item.
+        line(t_loop_open(true) + item_body(in, 0, "") + item_count(in, true) +
+             "}");
         return;
-      }
-      case Op::FMad: {
-        const bool f32 = (in.aux & kRoundF32) != 0;
-        if (simd_ > 0 && !masked) {
-          line("{ double* const dst = " + vf_ptr(in.dst) + ";");
-          line("  const double* const a = " + vf_ptr(in.a) + ";");
-          line("  const double* const b = " + vf_ptr(in.b) + ";");
-          line("  const double* const c = " + vf_ptr(in.c) + ";");
-          line(strf("  const long long ne = (long long)%d * NI;", w));
-          line("  long long i = 0;");
-          line(strf("  for (; i + %d <= ne; i += %d) {", simd_, simd_));
-          const std::string ve =
-              strf("ld%d(a + i) * ld%d(b + i) + ld%d(c + i)", simd_, simd_,
-                   simd_);
-          line(strf("    st%d(dst + i, ", simd_) +
-               (f32 ? strf("rnd%d(", simd_) + ve + ")" : ve) + ");");
-          line("  }");
-          line("  for (; i < ne; ++i) dst[i] = " +
-               rnd(f32, "a[i] * b[i] + c[i]") + ";");
-          line(strf("  c_flops += (unsigned long long)(%d * NI); "
-                    "c_mads += (unsigned long long)NI;",
-                    2 * w));
-          line("}");
-          return;
-        }
-        line("{ double* const dst = " + vf_ptr(in.dst) + ";");
-        line("  const double* const a = " + vf_ptr(in.a) + ";");
-        line("  const double* const b = " + vf_ptr(in.b) + ";");
-        line("  const double* const c = " + vf_ptr(in.c) + ";");
-        line("  " + t_loop_open(masked));
-        for (int l = 0; l < w; ++l) {
-          const std::string e =
-              strf("a[t * %d + %d] * b[t * %d + %d] + c[t * %d + %d]", w, l, w,
-                   l, w, l);
-          line(strf("    dst[t * %d + %d] = ", w, l) + rnd(f32, e) + ";");
-        }
-        if (masked) line(strf("    c_flops += %d; ++c_mads;", 2 * w));
-        line("  }");
-        if (!masked)
-          line(strf("  c_flops += (unsigned long long)(%d * NI); "
-                    "c_mads += (unsigned long long)NI;",
-                    2 * w));
-        line("}");
-        return;
-      }
-      case Op::FmaPP: {
-        // Never masked (only fused inside uniform inner loops); see vm.cpp.
-        const ArrayRef& cr = p_.arrays[static_cast<std::size_t>(in.a)];
-        const ArrayRef& br = p_.arrays[static_cast<std::size_t>(in.b)];
-        const bool f32 = (in.aux & kRoundF32) != 0;
-        const int stride = in.aux >> 3;
-        const long long coff = cr.offset + in.dst;
-        const long long boff = br.offset + in.imm;
-        line("{ const double* const av = " + vf_ptr(in.c) + ";");
-        line("  " + t_loop_open(false));
-        line(strf("    double* const pa = parr + t * %lld;",
-                  static_cast<long long>(p_.parr_doubles)));
-        line(strf("    double* const cp = pa + %lld;", coff));
-        line(strf("    const double* const bp = pa + %lld;", boff));
-        line(strf("    const double* const ap = av + t * %d;", stride));
-        if (simd_ > 0 && vectorizable_width(w)) {
-          // One vector per work-item: the register width is the vector
-          // width, so the whole rank-1 update step is a single
-          // load/fma-shaped/store sequence (unfused: contraction is off).
-          const std::string ve =
-              strf("ld%d(ap) * ld%d(bp) + ld%d(cp)", w, w, w);
-          line(strf("    st%d(cp, ", w) +
-               (f32 ? strf("rnd%d(", w) + ve + ")" : ve) + ");");
-        } else {
-          for (int l = 0; l < w; ++l) {
-            const std::string e = strf("ap[%d] * bp[%d] + cp[%d]", l, l, l);
-            line(strf("    cp[%d] = ", l) + rnd(f32, e) + ";");
-          }
-        }
-        line("  }");
-        line(strf("  c_flops += (unsigned long long)(%d * NI); "
-                  "c_mads += (unsigned long long)NI;",
-                  2 * w));
-        line("}");
-        return;
-      }
-      case Op::SplatLaneP: {
-        const ArrayRef& ar = p_.arrays[static_cast<std::size_t>(in.a)];
-        const int dw = in.b;
-        const long long off = ar.offset + in.imm;
-        const bool elide = splat_zero_elide_.count(in.dst) != 0;
-        line("{ double* const dst = " + vf_ptr(in.dst) + ";");
-        line("  " + t_loop_open(false));
-        line(strf("    const double x = parr[t * %lld + %lld];",
-                  static_cast<long long>(p_.parr_doubles), off));
-        if (simd_ > 0 && !elide && vectorizable_width(dw)) {
-          // One full-width store covers the splat lanes and the zero fill.
-          std::string init = "{";
-          for (int l = 0; l < dw; ++l) {
-            if (l) init += ", ";
-            init += l < w ? "x" : "0.0";
-          }
-          line(strf("    const vd%d vx = ", dw) + init + "};");
-          line(strf("    st%d(dst + t * %d, vx);", dw, dw));
-        } else if (simd_ > 0 && vectorizable_width(w)) {
-          line(strf("    const vd%d vx = ", w) + splat_list("x", w) + ";");
-          line(strf("    st%d(dst + t * %d, vx);", w, dw));
-          if (!elide)
-            for (int l = w; l < dw; ++l)
-              line(strf("    dst[t * %d + %d] = 0.0;", dw, l));
-        } else {
-          for (int l = 0; l < w; ++l)
-            line(strf("    dst[t * %d + %d] = x;", dw, l));
-          if (!elide)
-            for (int l = w; l < dw; ++l)
-              line(strf("    dst[t * %d + %d] = 0.0;", dw, l));
-        }
-        line("  } }");
-        return;
-      }
+      case Op::FConst:
+      case Op::FArg:
+      case Op::FSplat:
+      case Op::FLane:
+      case Op::FmaPP:
+      case Op::SplatLaneP:
+        break;  // never masked, so always item ops
       case Op::LoadG:
-      case Op::StoreG: {
-        const bool is_store = in.op == Op::StoreG;
-        const bool f32 = (in.aux & kElemF32) != 0;
-        const int ebytes = f32 ? 4 : 8;
-        line(strf("{ %s* const gp = %s[%d];", f32 ? "float" : "double",
-                  f32 ? "arg_f32" : "arg_f64", in.a));
-        line(strf("  const long long en = arg_elems[%d];", in.a));
-        emit_addr(in);
-        if (is_store) {
-          line("  const double* const val = " + vf_ptr(in.c) + ";");
-        } else {
-          line("  double* const dst = " + vf_ptr(in.dst) + ";");
-        }
-        const std::string gfails =
-            fail_stmt(cstr(strf("global %s out of range: index %%lld + %d "
-                                "lanes, buffer %%lld elements",
-                                is_store ? "store" : "load", w)),
-                      {"(long long)idx", "(long long)en"});
-        if (simd_ > 0 && !masked && !f32 && !is_store &&
-            vectorizable_width(w)) {
-          // SIMD form, f64 loads only: the destination is scratch, so the
-          // hoisted check is invisible on the failure path. Stores stay
-          // interleaved — a faulting launch must leave the user's buffer
-          // with exactly the partial stores the VM would have done.
-          emit_range_check(in, "en", gfails);
-          line("  for (long long t = 0; t < NI; ++t) {");
-          line("    const long long idx = " + addr_expr(in) + ";");
-          line(strf("    st%d(dst + t * %d, ld%d(gp + idx));", w, w, w));
-          line("  }");
-          line(strf("  c_gld += (unsigned long long)(%d * NI);", w * ebytes));
-          line("}");
-          return;
-        }
-        line("  " + t_loop_open(masked));
-        line("    const long long idx = " + addr_expr(in) + ";");
-        line(strf("    if (idx < 0 || idx + %d > en) ", w) + gfails);
-        for (int l = 0; l < w; ++l) {
-          if (is_store) {
-            line(f32 ? strf("    gp[idx + %d] = (float)val[t * %d + %d];", l,
-                            w, l)
-                     : strf("    gp[idx + %d] = val[t * %d + %d];", l, w, l));
-          } else {
-            line(f32 ? strf("    dst[t * %d + %d] = (double)gp[idx + %d];", w,
-                            l, l)
-                     : strf("    dst[t * %d + %d] = gp[idx + %d];", w, l, l));
-          }
-        }
-        if (masked)
-          line(strf("    %s += %d;", is_store ? "c_gst" : "c_gld",
-                    w * ebytes));
-        line("  }");
-        if (!masked)
-          line(strf("  %s += (unsigned long long)(%d * NI);",
-                    is_store ? "c_gst" : "c_gld", w * ebytes));
-        line("}");
-        return;
-      }
+      case Op::StoreG:
       case Op::LoadL:
       case Op::StoreL:
       case Op::LoadP:
       case Op::StoreP: {
-        const bool is_store = in.op == Op::StoreL || in.op == Op::StoreP;
-        const bool local = in.op == Op::LoadL || in.op == Op::StoreL;
-        const ArrayRef& ar = p_.arrays[static_cast<std::size_t>(in.a)];
-        const int bytes = w * ((in.aux & kCount8) ? 8 : 4);
+        // Per item, in item order: the masked forms, checking each active
+        // item before its copy, and the unmasked global and local stores.
+        // Global stores stay interleaved even unmasked — a faulting launch
+        // must leave the user's buffer with exactly the VM's partial
+        // stores. Local stores keep item order (items may store to the
+        // same element; the last one wins) but check up front, as they
+        // write scratch only.
+        const bool check_each = masked || in.op == Op::StoreG;
         line("{");
-        emit_addr(in);
-        if (is_store) {
-          line("  const double* const val = " + vf_ptr(in.c) + ";");
-        } else {
-          line("  double* const dst = " + vf_ptr(in.dst) + ";");
+        if (in.op == Op::LoadG || in.op == Op::StoreG) {
+          const bool f32 = (in.aux & kElemF32) != 0;
+          line(strf("  %s* const gp = %s[%d];", f32 ? "float" : "double",
+                    f32 ? "arg_f32" : "arg_f64", in.a));
+          line(strf("  const long long en = arg_elems[%d];", in.a));
         }
-        const std::string fails = fail_stmt(
-            cstr(strf("%s array '%%s' %s out of range: index %%lld + %d "
-                      "lanes, %%zu elements",
-                      local ? "local" : "private", is_store ? "store" : "load",
-                      w)),
-            {cstr(ar.name), "(long long)idx", strf("(std::size_t)%d", ar.len)});
-        const std::string slab =
-            local ? strf("larr + %d", ar.offset)
-                  : strf("parr + t * %lld + %d",
-                         static_cast<long long>(p_.parr_doubles), ar.offset);
-        if (simd_ > 0 && !masked && vectorizable_width(w)) {
-          // SIMD form: the bounds check is hoisted out of the copy loop
-          // (constant/uniform addresses check once; varying addresses
-          // OR-reduce, with an exact scalar re-scan on the failure path so
-          // the first-faulting item's message matches the VM). The copies
-          // target scratch slabs only, so the split is invisible: a failed
-          // launch throws and every slab and counter dies with it. The
-          // branch-free copy loop is then one vector load/store per item.
-          emit_range_check(in, strf("%d", ar.len), fails);
-          line("  for (long long t = 0; t < NI; ++t) {");
-          line("    const long long idx = " + addr_expr(in) + ";");
-          line(strf("    %s* const p = (%s) + idx;",
-                    is_store ? "double" : "const double", slab.c_str()));
-          if (is_store) {
-            line(strf("    st%d((double*)p, ld%d(val + t * %d));", w, w, w));
-          } else {
-            line(strf("    st%d(dst + t * %d, ld%d(p));", w, w, w));
-          }
-          line("  }");
+        emit_addr(in, "");
+        if (!check_each) emit_range_check(in, "");
+        std::string body;
+        if (check_each)
+          body = "const long long idx = " + addr_expr(in, "") + "; if (" +
+                 out_of_range(in, "") + ") " + mem_fails(in, "") + " ";
+        if (in.op == Op::StoreG) {
+          for (int l = 0; l < w; ++l)
+            body += strf("gp[idx + %d] = %s", l,
+                         (in.aux & kElemF32) ? "(float)" : "") +
+                    ld(0, slot_run("vf", in.c + l)) + "; ";
         } else {
-          line("  " + t_loop_open(masked));
-          line("    const long long idx = " + addr_expr(in) + ";");
-          line(strf("    if (idx < 0 || idx + %d > %d) ", w, ar.len) + fails);
-          line(strf("    %s* const p = (%s) + idx;",
-                    is_store ? "double" : "const double", slab.c_str()));
-          for (int l = 0; l < w; ++l) {
-            if (is_store) {
-              line(strf("    ((double*)p)[%d] = val[t * %d + %d];", l, w, l));
-            } else {
-              line(strf("    dst[t * %d + %d] = p[%d];", w, l, l));
-            }
-          }
-          if (local && masked)
-            line(strf("    %s += %d;", is_store ? "c_lst" : "c_lld", bytes));
-          line("  }");
+          body += item_body(in, 0, "");
         }
-        if (local && !masked)
-          line(strf("  %s += (unsigned long long)(%d * NI);",
-                    is_store ? "c_lst" : "c_lld", bytes));
+        line("  " + t_loop_open(masked) + body +
+             (masked ? item_count(in, true) : "") + "}");
+        if (!masked && !item_count(in).empty()) line("  " + item_count(in));
         line("}");
         return;
       }
@@ -1119,189 +1119,162 @@ class Emitter {
               static_cast<int>(in.op), pc));
   }
 
+  // ---- memory-op helpers ----------------------------------------------------
+
   /// Emits the hoisted declarations for a memory op's address operand.
-  void emit_addr(const Insn& in, const char* sfx = "") {
+  void emit_addr(const Insn& in, const std::string& sfx) {
     if (in.flags & kImmAddr) return;  // constant, inlined at use
     if (in.flags & kBUni) {
-      line(strf("  const long long ua%s = %s;", sfx, u(in.b).c_str()));
+      line("const long long ua" + sfx + " = " + u(in.b) + ";");
     } else {
-      line(strf("  const long long* const av%s = ", sfx) + vi_ptr(in.b) +
-           ";");
+      line("const long long* const av" + sfx + " = " + vi_ptr(in.b) + ";");
     }
-  }
-  /// Braced initializer splatting `x` across `n` vector lanes.
-  static std::string splat_list(const std::string& x, int n) {
-    std::string s = "{";
-    for (int i = 0; i < n; ++i) {
-      if (i) s += ", ";
-      s += x;
-    }
-    return s + "}";
   }
 
   /// Per-item address expression matching emit_addr().
-  static std::string addr_expr(const Insn& in, const char* sfx = "") {
+  static std::string addr_expr(const Insn& in, const std::string& sfx) {
     if (in.flags & kImmAddr) return imm64(in.imm);
-    if (in.flags & kBUni) return strf("ua%s", sfx);
-    return strf("av%s[t]", sfx);
+    if (in.flags & kBUni) return "ua" + sfx;
+    return "av" + sfx + "[t]";
+  }
+  static bool uniform_addr(const Insn& in) {
+    return (in.flags & (kImmAddr | kBUni)) != 0;
+  }
+  static bool is_global(const Insn& in) {
+    return in.op == Op::LoadG || in.op == Op::StoreG;
   }
 
-  /// Hoisted bounds check for the SIMD memory paths: constant and uniform
-  /// addresses check once before the copy loop (the compiler folds the
-  /// constant form away entirely); varying addresses OR-reduce across the
-  /// items — a branch-free loop the vectorizer handles — and re-scan
-  /// scalar only on failure, so the message names the first faulting item
-  /// exactly as the VM does.
-  void emit_range_check(const Insn& in, const std::string& len,
-                        const std::string& fails, const char* sfx = "") {
+  /// Element count a memory op's address is checked against.
+  std::string mem_len(const Insn& in, const std::string& sfx) const {
+    if (is_global(in)) return "en" + sfx;
+    return strf("%d", p_.arrays[static_cast<std::size_t>(in.a)].len);
+  }
+  std::string out_of_range(const Insn& in, const std::string& sfx) const {
+    return strf("idx < 0 || idx + %d > ", in.lanes) + mem_len(in, sfx);
+  }
+
+  /// Out-of-range failure of a memory op, message text as the VM's.
+  std::string mem_fails(const Insn& in, const std::string& sfx) {
     const int w = in.lanes;
-    if (in.flags & (kImmAddr | kBUni)) {
-      line(strf("  { const long long idx = %s;", addr_expr(in, sfx).c_str()));
-      line(strf("    if (idx < 0 || idx + %d > %s) ", w, len.c_str()) + fails);
-      line("  }");
+    const bool is_store = in.op == Op::StoreG || in.op == Op::StoreL ||
+                          in.op == Op::StoreP;
+    if (is_global(in))
+      return fail_stmt(cstr(strf("global %s out of range: index %%lld + %d "
+                                 "lanes, buffer %%lld elements",
+                                 is_store ? "store" : "load", w)),
+                       {"(long long)idx", "(long long)en" + sfx});
+    const ArrayRef& ar = p_.arrays[static_cast<std::size_t>(in.a)];
+    const bool local = in.op == Op::LoadL || in.op == Op::StoreL;
+    return fail_stmt(
+        cstr(strf("%s array '%%s' %s out of range: index %%lld + %d "
+                  "lanes, %%zu elements",
+                  local ? "local" : "private", is_store ? "store" : "load",
+                  w)),
+        {cstr(ar.name), "(long long)idx", strf("(std::size_t)%d", ar.len)});
+  }
+
+  /// Private-slab slot of lane l of a private access: a literal for
+  /// constant addresses.
+  std::string private_slot(const Insn& in, int l,
+                           const std::string& sfx) const {
+    const ArrayRef& ar = p_.arrays[static_cast<std::size_t>(in.a)];
+    if (in.flags & kImmAddr) return imm64(ar.offset + in.imm + l);
+    return strf("%d + ", ar.offset + l) + addr_expr(in, sfx);
+  }
+
+  /// Chunk expression (see ld) for lane l of the element a load reads:
+  /// its own slot run for a uniform private address, a splat for a
+  /// uniform local/global address, else a per-item gather.
+  std::string mem_elem(const Insn& in, int l, int v,
+                       const std::string& sfx) const {
+    if (in.op == Op::LoadP) {
+      if (uniform_addr(in) || v == 0)
+        return ld(v, slot_run("parr", private_slot(in, l, sfx)));
+      const ArrayRef& ar = p_.arrays[static_cast<std::size_t>(in.a)];
+      return strf("gatp%d(%s + t, av%s + t, SN)", v,
+                  slot_run("parr", ar.offset + l).c_str(), sfx.c_str());
+    }
+    const bool f32 = in.op == Op::LoadG && (in.aux & kElemF32) != 0;
+    const std::string base =
+        in.op == Op::LoadL
+            ? strf("larr + %d",
+                   p_.arrays[static_cast<std::size_t>(in.a)].offset + l)
+            : "gp" + sfx + strf(" + %d", l);
+    if (v > 0 && !uniform_addr(in))
+      return strf("%s%d(%s, av%s + t)", f32 ? "gatf" : "gat", v,
+                  base.c_str(), sfx.c_str());
+    return spl(v, std::string(f32 ? "(double)" : "") + "(" + base + ")[" +
+                      addr_expr(in, sfx) + "]");
+  }
+
+  /// Statement storing chunk `e` into lane l of a local/private store's
+  /// element (local stores only run per item, v == 0).
+  std::string mem_store(const Insn& in, int l, int v, const std::string& e,
+                        const std::string& sfx) const {
+    const ArrayRef& ar = p_.arrays[static_cast<std::size_t>(in.a)];
+    if (in.op == Op::StoreL)
+      return strf("larr[%d + ", ar.offset + l) + addr_expr(in, sfx) +
+             "] = " + e + "; ";
+    if (uniform_addr(in) || v == 0)
+      return st(v, slot_run("parr", private_slot(in, l, sfx)), e);
+    return strf("sctp%d(%s + t, av%s + t, SN, %s); ", v,
+                slot_run("parr", ar.offset + l).c_str(), sfx.c_str(),
+                e.c_str());
+  }
+
+  /// Hoisted bounds check: constant and uniform addresses check once
+  /// (the compiler folds the constant form away entirely); varying
+  /// addresses scan the items first — in SIMD mode as a branch-free
+  /// OR-reduction with an exact re-scan on failure — so the message names
+  /// the first faulting item exactly as the VM does.
+  void emit_range_check(const Insn& in, const std::string& sfx) {
+    const std::string fails = mem_fails(in, sfx);
+    if (uniform_addr(in)) {
+      line("{ const long long idx = " + addr_expr(in, sfx) + "; if (" +
+           out_of_range(in, sfx) + ") " + fails + " }");
       return;
     }
-    line("  { long long bad = 0;");
-    line(strf("    vl%d acc = {};", simd_));
-    line("    long long t = 0;");
-    line(strf("    for (; t + %d <= NI; t += %d) { const vl%d v_ = "
-              "ldi%d(av%s + t); acc |= (v_ < 0) | (v_ + %d > %s); }",
-              simd_, simd_, simd_, simd_, sfx, w, len.c_str()));
-    line(strf("    for (; t < NI; ++t) bad |= "
-              "(long long)(av%s[t] < 0) | (long long)(av%s[t] + %d > %s);",
-              sfx, sfx, w, len.c_str()));
-    for (int l = 0; l < simd_; ++l)
-      line(strf("    bad |= acc[%d];", l));
-    line("    if (bad) for (long long t2 = 0; t2 < NI; ++t2) {");
-    line(strf("      const long long idx = av%s[t2];", sfx));
-    line(strf("      if (idx < 0 || idx + %d > %s) ", w, len.c_str()) + fails);
-    line("    }");
-    line("  }");
-  }
-
-  void emit_fused(const Insn& prod, const Insn& cons) {
-    if (prod.op == Op::SplatLaneP) {
-      emit_fused_splat_fma(prod, cons);
-    } else {
-      emit_fused_copy(prod, cons);
+    const std::string av = "av" + sfx;
+    const std::string len = mem_len(in, sfx);
+    const std::string scan =
+        "for (long long t2 = 0; t2 < NI; ++t2) { const long long idx = " +
+        av + "[t2]; if (" + out_of_range(in, sfx) + ") " + fails + " }";
+    if (simd_ <= 0) {
+      line(scan);
+      return;
     }
-  }
-
-  /// SplatLaneP + FmaPP with a dead intermediate register: the rank-1
-  /// update broadcasts the splat source directly. Within one item the
-  /// splat read still precedes the FmaPP write, and items touch only
-  /// their own private slab, so evaluation order is unchanged.
-  void emit_fused_splat_fma(const Insn& sp, const Insn& fm) {
-    const ArrayRef& sar = p_.arrays[static_cast<std::size_t>(sp.a)];
-    const ArrayRef& cr = p_.arrays[static_cast<std::size_t>(fm.a)];
-    const ArrayRef& br = p_.arrays[static_cast<std::size_t>(fm.b)];
-    const bool f32 = (fm.aux & kRoundF32) != 0;
-    const int w = fm.lanes;
-    const long long soff = sar.offset + sp.imm;
-    const long long coff = cr.offset + fm.dst;
-    const long long boff = br.offset + fm.imm;
-    line("{ " + t_loop_open(false));
-    line(strf("    double* const pa = parr + t * %lld;",
-              static_cast<long long>(p_.parr_doubles)));
-    line(strf("    double* const cp = pa + %lld;", coff));
-    line(strf("    const double* const bp = pa + %lld;", boff));
-    line(strf("    const double x = pa[%lld];", soff));
-    if (vectorizable_width(w)) {
-      line(strf("    const vd%d vx = ", w) + splat_list("x", w) + ";");
-      const std::string ve = strf("vx * ld%d(bp) + ld%d(cp)", w, w);
-      line(strf("    st%d(cp, ", w) +
-           (f32 ? strf("rnd%d(", w) + ve + ")" : ve) + ");");
-    } else {
-      for (int l = 0; l < w; ++l)
-        line(strf("    cp[%d] = ", l) +
-             rnd(f32, strf("x * bp[%d] + cp[%d]", l, l)) + ";");
-    }
-    line("  }");
-    line(strf("  c_flops += (unsigned long long)(%d * NI); "
-              "c_mads += (unsigned long long)NI;",
-              2 * w));
-    line("}");
-  }
-
-  /// Load + store with a dead intermediate register: one copy loop with
-  /// both bounds checks hoisted (load check first — its failure message
-  /// wins, exactly the VM's execution order).
-  void emit_fused_copy(const Insn& ld, const Insn& st) {
-    const int w = ld.lanes;
-    const bool ld_g = ld.op == Op::LoadG;
-    const bool ld_local = ld.op == Op::LoadL;
-    const bool st_local = st.op == Op::StoreL;
-    line("{");
-    std::string src_base, src_len, ld_fails;
-    if (ld_g) {
-      line(strf("  const double* const gp = arg_f64[%d];", ld.a));
-      line(strf("  const long long en = arg_elems[%d];", ld.a));
-      src_base = "gp";
-      src_len = "en";
-      ld_fails =
-          fail_stmt(cstr(strf("global load out of range: index %%lld + %d "
-                              "lanes, buffer %%lld elements",
-                              w)),
-                    {"(long long)idx", "(long long)en"});
-    } else {
-      const ArrayRef& ar = p_.arrays[static_cast<std::size_t>(ld.a)];
-      src_base = ld_local ? strf("larr + %d", ar.offset)
-                          : strf("parr + t * %lld + %d",
-                                 static_cast<long long>(p_.parr_doubles),
-                                 ar.offset);
-      src_len = strf("%d", ar.len);
-      ld_fails = fail_stmt(
-          cstr(strf("%s array '%%s' load out of range: index %%lld + %d "
-                    "lanes, %%zu elements",
-                    ld_local ? "local" : "private", w)),
-          {cstr(ar.name), "(long long)idx", strf("(std::size_t)%d", ar.len)});
-    }
-    const ArrayRef& sar = p_.arrays[static_cast<std::size_t>(st.a)];
-    const std::string dst_base =
-        st_local ? strf("larr + %d", sar.offset)
-                 : strf("parr + t * %lld + %d",
-                        static_cast<long long>(p_.parr_doubles), sar.offset);
-    const std::string st_fails = fail_stmt(
-        cstr(strf("%s array '%%s' store out of range: index %%lld + %d "
-                  "lanes, %%zu elements",
-                  st_local ? "local" : "private", w)),
-        {cstr(sar.name), "(long long)idx", strf("(std::size_t)%d", sar.len)});
-    emit_addr(ld, "a");
-    emit_addr(st, "b");
-    emit_range_check(ld, src_len, ld_fails, "a");
-    emit_range_check(st, strf("%d", sar.len), st_fails, "b");
-    line("  for (long long t = 0; t < NI; ++t) {");
-    line("    const long long ia = " + addr_expr(ld, "a") + ";");
-    line("    const long long ib = " + addr_expr(st, "b") + ";");
-    line(strf("    const double* const sp_ = (%s) + ia;", src_base.c_str()));
-    line(strf("    double* const dp_ = (%s) + ib;", dst_base.c_str()));
-    if (vectorizable_width(w)) {
-      line(strf("    st%d(dp_, ld%d(sp_));", w, w));
-    } else {
-      for (int l = 0; l < w; ++l)
-        line(strf("    dp_[%d] = sp_[%d];", l, l));
-    }
-    line("  }");
-    if (ld_g)
-      line(strf("  c_gld += (unsigned long long)(%d * NI);", w * 8));
-    if (ld_local)
-      line(strf("  c_lld += (unsigned long long)(%d * NI);",
-                w * ((ld.aux & kCount8) ? 8 : 4)));
-    if (st_local)
-      line(strf("  c_lst += (unsigned long long)(%d * NI);",
-                w * ((st.aux & kCount8) ? 8 : 4)));
+    line(strf("{ vl%d acc = {}; long long t = 0;", simd_));
+    line(strf("  for (; t + %d <= NI; t += %d) { const vl%d v_ = ldi%d(",
+              simd_, simd_, simd_, simd_) +
+         av + strf(" + t); acc |= (v_ < 0) | (v_ + %d > ", in.lanes) + len +
+         "); }");
+    std::string red = "long long bad = 0";
+    for (int l = 0; l < simd_; ++l) red += strf(" | acc[%d]", l);
+    line("  " + red + ";");
+    if (ni_const_ == 0 || ni_const_ % simd_ != 0)
+      line("  for (; t < NI; ++t) bad |= (long long)(" + av +
+           strf("[t] < 0) | (long long)(%s[t] + %d > ", av.c_str(),
+                in.lanes) +
+           len + ");");
+    line("  if (bad) " + scan);
     line("}");
   }
 
   const Kernel& k_;
   const CompiledKernel& p_;
-  const int simd_;               ///< vector width in doubles; 0 = scalar
+  const int simd_;                ///< vector width in doubles; 0 = scalar
+  const std::int64_t ni_const_;   ///< compile-time NI, 0 when runtime
   std::string out_;
   std::vector<char> is_target_;
-  std::set<std::int32_t> splat_zero_elide_;
-  std::set<int> vwidths_;        ///< vector widths the prologue defines
+  std::set<std::int32_t> zero_elide_;
   std::set<std::size_t> fused_skip_;          ///< producers folded away
   std::map<std::size_t, std::size_t> fused_;  ///< consumer -> producer
+  struct Item {
+    const Insn* prod;  ///< fused producer, or null
+    const Insn* in;
+  };
+  std::vector<Item> group_;          ///< the open merged pass
+  std::set<std::int32_t> group_vi_;  ///< vi registers the group writes
 };
 
 }  // namespace

@@ -1,8 +1,10 @@
 // Tests for the native JIT backend's machinery (native.hpp) and the
 // LRU-bounded program cache (compile.hpp): emitter determinism, the
-// on-disk .so cache round-trip (a warm start needs no compiler at all),
-// graceful fallback to bytecode when no toolchain is usable, read-only
-// cache-dir handling, and cache eviction under GEMMTUNE_PROGRAM_CACHE_MAX.
+// on-disk .so cache round-trip (a warm start needs no compiler at all, and
+// a foreign object under a kernel's name is rebuilt), graceful fallback to
+// bytecode when no toolchain is usable, read-only cache-dir handling, and
+// cache eviction under GEMMTUNE_PROGRAM_CACHE_MAX. The SIMD differentials
+// run fuzzed kernels and the real GEMM kernels natively against bytecode.
 // Semantic equivalence of the native backend (buffers, counters, error
 // parity) lives in vm_test.cpp's three-way differentials and
 // fuzz_codegen_test.cpp.
@@ -13,9 +15,12 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 #include <vector>
 
+#include "codegen/gemm_generator.hpp"
+#include "codegen/paper_kernels.hpp"
 #include "common/error.hpp"
 #include "common/json.hpp"
 #include "common/rng.hpp"
@@ -23,8 +28,11 @@
 #include "kernelir/interp.hpp"
 #include "kernelir/kernel.hpp"
 #include "kernelir/native.hpp"
+#include "layout/matrix.hpp"
+#include "layout/packing.hpp"
 #include "simcl/runtime.hpp"
 #include "trace/trace.hpp"
+#include "tuner/shape.hpp"
 
 namespace gemmtune::ir {
 namespace {
@@ -79,6 +87,21 @@ int count_shared_objects(const std::string& dir) {
     }
   }
   return n;
+}
+
+/// The .so files in `dir`, sorted by name.
+std::vector<std::string> shared_objects(const std::string& dir) {
+  std::vector<std::string> out;
+  FILE* p = ::popen(("ls " + dir + " | grep '\\.so$'").c_str(), "r");
+  if (p == nullptr) return out;
+  char line[512] = {0};
+  while (std::fgets(line, sizeof line, p) != nullptr) {
+    std::string name(line);
+    while (!name.empty() && name.back() == '\n') name.pop_back();
+    out.push_back(dir + "/" + name);
+  }
+  ::pclose(p);
+  return out;
 }
 
 /// A small kernel parameterized by `salt` so each value compiles to a
@@ -168,6 +191,44 @@ TEST_F(NativeTest, DiskCacheRoundTripSkipsCompilerOnWarmStart) {
   EXPECT_EQ(trace_counter("interp.native_compiles"), 0u);
 }
 
+TEST_F(NativeTest, ForeignObjectUnderAKernelsNameIsRebuilt) {
+  if (!native_toolchain_available()) GTEST_SKIP() << "no host toolchain";
+  const std::string dir = make_temp_dir();
+  set_jit_cache_dir(dir);
+  run_salted(41, Backend::Native);
+  const std::vector<std::string> first = shared_objects(dir);
+  ASSERT_EQ(first.size(), 1u);
+  run_salted(42, Backend::Native);
+  std::vector<std::string> both = shared_objects(dir);
+  ASSERT_EQ(both.size(), 2u);
+  const std::string victim = both[0] == first[0] ? both[1] : both[0];
+
+  // Put kernel 41's object under kernel 42's name (a fresh inode, so no
+  // mapping of the old file is reused). The cache name alone must not be
+  // trusted: the launch rebuilds and still matches the bytecode result.
+  compiled_cache_clear();
+  ASSERT_EQ(std::system(("cp " + first[0] + " " + victim + ".tmp && mv " +
+                         victim + ".tmp " + victim)
+                            .c_str()),
+            0);
+  trace::reset();
+  trace::set_enabled(true);
+  EXPECT_EQ(run_salted(42, Backend::Native),
+            run_salted(42, Backend::Bytecode));
+  EXPECT_EQ(trace_counter("interp.native_stale"), 1u);
+  EXPECT_EQ(trace_counter("interp.native_compiles"), 1u);
+  EXPECT_EQ(trace_counter("interp.native_fallback"), 0u);
+
+  // The rebuilt object now carries its own identity: a warm start loads
+  // it without the compiler.
+  compiled_cache_clear();
+  trace::reset();
+  run_salted(42, Backend::Native);
+  EXPECT_EQ(trace_counter("interp.native_stale"), 0u);
+  EXPECT_EQ(trace_counter("interp.native_compiles"), 0u);
+  EXPECT_EQ(trace_counter("interp.native_disk_hits"), 1u);
+}
+
 TEST_F(NativeTest, NativeMatchesBytecodeBuffers) {
   if (!native_toolchain_available()) GTEST_SKIP() << "no host toolchain";
   EXPECT_EQ(run_salted(5, Backend::Native), run_salted(5, Backend::Bytecode));
@@ -238,9 +299,10 @@ struct FuzzShape {
 };
 
 /// A kernel touching every SIMD-emitted path: local staging + barrier,
-/// private staging, the fused splat(load_private) * load_global + acc mad
-/// form, a divergent (masked) if, select, and a vector store — all at the
-/// shape's width and precision.
+/// private staging at constant and per-item indices, the fused
+/// splat(load_private) * load_global + acc mad form, a divergent (masked)
+/// if, select, and a vector store — all at the shape's width and
+/// precision.
 Kernel fuzzed_kernel(const FuzzShape& f) {
   const Type t1 = fp(f.s, 1);
   const Type tw = fp(f.s, f.w);
@@ -256,6 +318,7 @@ Kernel fuzzed_kernel(const FuzzShape& f) {
   const int t = b.decl_var("t", t1);
   const int lm = b.decl_array("Lm", f.s, f.local, AddrSpace::Local);
   const int pa = b.decl_array("P", f.s, 2, AddrSpace::Private);
+  const int qa = b.decl_array("Q", f.s, 4, AddrSpace::Private);
   b.append(assign(gid, builtin(BuiltinFn::GlobalId, 0)));
   b.append(assign(lx, builtin(BuiltinFn::LocalId, 0)));
   b.append(store_local(lm, b.ref(lx), load_global(1, b.ref(gid), t1)));
@@ -265,6 +328,10 @@ Kernel fuzzed_kernel(const FuzzShape& f) {
                                     iconst(f.local)),
                                 t1)));
   b.append(store_private(pa, iconst(0), b.ref(t)));
+  b.append(store_private(qa, bin(BinOp::Mod, b.ref(lx), iconst(4)), b.ref(t)));
+  b.append(assign(t, bin(BinOp::FAdd, b.ref(t),
+                         load_private(qa, bin(BinOp::Mod, b.ref(lx), iconst(4)),
+                                      t1))));
   b.append(assign(acc, splat(arg_ref(3, t1), f.w)));
   b.append(for_loop(
       i, iconst(0), arg_ref(2, i32()), iconst(1),
@@ -324,20 +391,22 @@ TEST_F(NativeTest, SimdDifferentialAcrossFuzzedShapes) {
   if (!native_toolchain_available()) GTEST_SKIP() << "no host toolchain";
   ASSERT_GT(native_simd_width(), 0) << "SIMD emission should be the default";
   // Eight fuzzed shapes, alternating precision and cycling the vector
-  // width so every (precision, width) pair appears; geometry and trip
+  // width so every (precision, width) pair appears, and cycling the
+  // work-group size — 12, 24 and 40 are above the host vector width and
+  // not a multiple of it, so the scalar tails run; group count and trip
   // count are drawn from the seeded stream. Buffers must come back
   // byte-identical (ULP-exact, including f32 rounding inside the vector
   // bodies) across bytecode, scalar-native and SIMD-native, with equal
   // counters.
   static const int kWidths[] = {1, 2, 4, 8};
-  static const int kLocals[] = {2, 4, 8};
+  static const int kLocals[] = {2, 4, 8, 12, 24, 40};
   static const int kTrips[] = {0, 1, 3, 7};
   Rng rng(0x51D5);
   for (int n = 0; n < 8; ++n) {
     FuzzShape f;
     f.s = (n % 2) != 0 ? Scalar::F32 : Scalar::F64;
     f.w = kWidths[n % 4];
-    f.local = kLocals[rng.next_below(3)];
+    f.local = kLocals[n % 6];
     f.groups = 1 + static_cast<int>(rng.next_below(3));
     f.trip = kTrips[rng.next_below(4)];
     const FuzzResult byte = run_fuzzed(f, Backend::Bytecode);
@@ -372,6 +441,102 @@ TEST_F(NativeTest, ScalarAndSimdObjectsDoNotCollide) {
   const std::vector<double> on = run_salted(31, Backend::Native);
   EXPECT_EQ(count_shared_objects(dir), 2);
   EXPECT_EQ(off, on);
+}
+
+// ---- real GEMM kernels: SIMD-native against bytecode -----------------------
+
+/// Launches `k` through `be` on a copy of `bufs` and returns every
+/// buffer's bytes plus the counters. A native launch must really run the
+/// JIT object, not fall back to bytecode.
+FuzzResult run_gemm(const Kernel& k, const codegen::LaunchGeometry& geo,
+                    const std::vector<std::vector<std::uint8_t>>& bufs,
+                    const std::vector<ArgValue>& scalars, Backend be) {
+  if (be == Backend::Native) {
+    std::string why;
+    EXPECT_NE(get_or_compile_native(k, &why), nullptr) << why;
+  }
+  std::vector<ArgValue> args;
+  std::vector<simcl::BufferPtr> owned;
+  for (const auto& b : bufs) {
+    owned.push_back(std::make_shared<simcl::Buffer>(b.size()));
+    std::memcpy(owned.back()->data(), b.data(), b.size());
+    args.push_back(ArgValue::of(owned.back()));
+  }
+  args.insert(args.end(), scalars.begin(), scalars.end());
+  FuzzResult r;
+  r.counters = launch_with_backend(k, geo.global, geo.local, args, 1, be);
+  for (const auto& b : owned) {
+    const auto* p = reinterpret_cast<const std::uint8_t*>(b->data());
+    r.bytes.insert(r.bytes.end(), p, p + b->size());
+  }
+  return r;
+}
+
+/// `n` random elements of the precision's width, as raw bytes.
+std::vector<std::uint8_t> random_elems(Rng& rng, std::size_t n, bool f32) {
+  std::vector<std::uint8_t> out(n * (f32 ? 4 : 8));
+  for (std::size_t i = 0; i < n; ++i) {
+    const double v = rng.next_double(-1.0, 1.0);
+    if (f32) {
+      const auto x = static_cast<float>(v);
+      std::memcpy(&out[i * 4], &x, 4);
+    } else {
+      std::memcpy(&out[i * 8], &v, 8);
+    }
+  }
+  return out;
+}
+
+TEST_F(NativeTest, RealGemmKernelsMatchBytecode) {
+  if (!native_toolchain_available()) GTEST_SKIP() << "no host toolchain";
+  ASSERT_GT(native_simd_width(), 0);
+  using codegen::Precision;
+  Rng rng(0x6E77);
+  // The packed Table II kernels the GEMM path launches for Tahiti and
+  // SandyBridge, at twice their work-group tile in every dimension.
+  for (const auto dev : {simcl::DeviceId::Tahiti, simcl::DeviceId::SandyBridge})
+    for (const auto prec : {Precision::SP, Precision::DP}) {
+      const codegen::KernelParams p = codegen::table2_entry(dev, prec).params;
+      const Kernel k = codegen::generate_gemm_kernel(p);
+      const std::int64_t Mp = 2 * p.Mwg, Np = 2 * p.Nwg, Kp = 2 * p.Kwg;
+      const bool f32 = prec == Precision::SP;
+      const std::vector<std::vector<std::uint8_t>> bufs = {
+          random_elems(rng, static_cast<std::size_t>(Mp * Np), f32),
+          random_elems(rng, static_cast<std::size_t>(Mp * Kp), f32),
+          random_elems(rng, static_cast<std::size_t>(Kp * Np), f32)};
+      const std::vector<ArgValue> scalars = {
+          ArgValue::of_int(Mp), ArgValue::of_int(Np), ArgValue::of_int(Kp),
+          ArgValue::of_float(0.75), ArgValue::of_float(-0.5)};
+      const auto geo = codegen::launch_geometry(p, Mp, Np);
+      const std::string what = k.name + " " + simcl::to_string(dev);
+      const FuzzResult byte =
+          run_gemm(k, geo, bufs, scalars, Backend::Bytecode);
+      const FuzzResult simd = run_gemm(k, geo, bufs, scalars, Backend::Native);
+      EXPECT_EQ(byte.bytes, simd.bytes) << what;
+      EXPECT_EQ(byte.counters, simd.counters) << what;
+    }
+  // The guarded direct kernel (vw = 1, fringe ifs) on a shape that is a
+  // multiple of no tile.
+  const codegen::KernelParams q = tuner::direct_variant(
+      codegen::table2_entry(simcl::DeviceId::Tahiti, Precision::SP).params);
+  const Kernel k = codegen::generate_direct_gemm_kernel(q, Transpose::No,
+                                                        Transpose::No, true);
+  const std::int64_t M = 131, N = 97, K = 75;
+  const PackedExtents ext = packed_extents(M, N, K, q.Mwg, q.Nwg, q.Kwg);
+  const std::vector<std::vector<std::uint8_t>> bufs = {
+      random_elems(rng, static_cast<std::size_t>(M * N), true),
+      random_elems(rng, static_cast<std::size_t>(M * K), true),
+      random_elems(rng, static_cast<std::size_t>(K * N), true)};
+  const std::vector<ArgValue> scalars = {
+      ArgValue::of_int(M),       ArgValue::of_int(N),
+      ArgValue::of_int(K),       ArgValue::of_int(M),
+      ArgValue::of_int(K),       ArgValue::of_int(M),
+      ArgValue::of_float(1.25),  ArgValue::of_float(0.5)};
+  const auto geo = codegen::launch_geometry(q, ext.Mp, ext.Np);
+  const FuzzResult byte = run_gemm(k, geo, bufs, scalars, Backend::Bytecode);
+  const FuzzResult simd = run_gemm(k, geo, bufs, scalars, Backend::Native);
+  EXPECT_EQ(byte.bytes, simd.bytes) << k.name;
+  EXPECT_EQ(byte.counters, simd.counters) << k.name;
 }
 
 TEST_F(NativeTest, SimdResolutionPrecedence) {
