@@ -21,7 +21,6 @@
 #include "kernelir/emit.hpp"
 #include "kernelir/interp.hpp"
 #include "kernelir/native.hpp"
-#include "kernelir/vm.hpp"
 #include "layout/matrix.hpp"
 #include "serve/core/async_server.hpp"
 #include "serve/core/differential.hpp"
@@ -605,7 +604,6 @@ int cmd_dist(const std::vector<std::string>& args, std::ostream& out) {
 
 int usage(std::ostream& out) {
   out << "usage: gemmtune [--threads N] [--interp B] [--jit-cache-dir D]\n"
-         "                [--vm-dispatch D] [--native-simd M]\n"
          "                [--trace FILE] [--metrics FILE] <command> [args]\n"
          "options:\n"
          "  --threads N     worker threads for tuning and kernel\n"
@@ -620,14 +618,6 @@ int usage(std::ostream& out) {
          "                  persistent directory for native-backend shared\n"
          "                  objects (also GEMMTUNE_JIT_CACHE); warm starts\n"
          "                  dlopen cached objects without a compiler\n"
-         "  --vm-dispatch D bytecode executor dispatch: threaded (computed\n"
-         "                  goto, default where supported) or switch\n"
-         "                  (also GEMMTUNE_VM_DISPATCH); both produce\n"
-         "                  bit-identical results\n"
-         "  --native-simd M explicit vector lanes in the native JIT\n"
-         "                  emitter: on (default) or off for scalar\n"
-         "                  emission (also GEMMTUNE_NATIVE_SIMD); both\n"
-         "                  produce bit-identical buffers\n"
          "  --trace FILE    write a Chrome trace-event JSON timeline\n"
          "  --metrics FILE  write aggregated metrics JSON (span durations,\n"
          "                  counters, gauges, cache hit rates)\n"
@@ -700,26 +690,6 @@ void set_interp_backend(const std::string& value) {
   }
 }
 
-void set_vm_dispatch(const std::string& value) {
-  if (value == "switch") {
-    ir::set_vm_dispatch_override(ir::VmDispatch::Switch);
-  } else if (value == "threaded") {
-    ir::set_vm_dispatch_override(ir::VmDispatch::Threaded);
-  } else {
-    fail_unknown_value("--vm-dispatch", value, {"switch", "threaded"});
-  }
-}
-
-void set_native_simd(const std::string& value) {
-  if (value == "on") {
-    ir::set_native_simd_override(ir::NativeSimd::On);
-  } else if (value == "off") {
-    ir::set_native_simd_override(ir::NativeSimd::Off);
-  } else {
-    fail_unknown_value("--native-simd", value, {"on", "off"});
-  }
-}
-
 }  // namespace
 
 int run(const std::vector<std::string>& args, std::ostream& out) {
@@ -749,20 +719,6 @@ int run(const std::vector<std::string>& args, std::ostream& out) {
         first += 2;
       } else if (flag.starts_with("--jit-cache-dir=")) {
         ir::set_jit_cache_dir(flag.substr(16));
-        first += 1;
-      } else if (flag == "--vm-dispatch") {
-        check(first + 1 < args.size(), "--vm-dispatch requires a value");
-        set_vm_dispatch(args[first + 1]);
-        first += 2;
-      } else if (flag.starts_with("--vm-dispatch=")) {
-        set_vm_dispatch(flag.substr(14));
-        first += 1;
-      } else if (flag == "--native-simd") {
-        check(first + 1 < args.size(), "--native-simd requires a value");
-        set_native_simd(args[first + 1]);
-        first += 2;
-      } else if (flag.starts_with("--native-simd=")) {
-        set_native_simd(flag.substr(14));
         first += 1;
       } else if (flag == "--trace" || flag == "--metrics") {
         check(first + 1 < args.size(), flag + " requires a file path");

@@ -8,7 +8,7 @@
 // registers and private arrays are lane-major (slot s of work-item t at
 // s*SN + t, SN = NI plus one cache line), so consecutive per-item
 // instructions become one pass over the work-items, printed as explicit
-// host-width vectors in SIMD mode whatever the kernel's own vector width;
+// host-width vectors whatever the kernel's own vector width;
 // when the kernel declares reqd_work_group_size the work-group size
 // itself is a compile-time constant. Bounds checks the
 // bytecode pass already proved (constant private/local addressing lowered
@@ -74,35 +74,22 @@ class NativeKernel {
   std::string so_path_;
 };
 
-/// SIMD mode for the native emitter. Resolution precedence mirrors
-/// Backend / VmDispatch: set_native_simd_override > GEMMTUNE_NATIVE_SIMD
-/// ("on" / "off") > on. When on, the emitter prints explicit fixed-width
-/// vector lanes (GCC/Clang vector extensions) for the unmasked FP ops,
-/// with f32 rounding as per-element widen→op→narrow conversions inside
-/// the vector body, so buffers stay bit-identical to the scalar backends.
-enum class NativeSimd { Auto, Off, On };
-
-/// Process-wide SIMD override (the --native-simd flag); Auto clears it.
-void set_native_simd_override(NativeSimd m);
-
-/// Resolved vector width (in doubles, across work-items) a native compile
-/// started now would emit: 0 for scalar emission, else the probed host
-/// width (8 with AVX-512F, 4 with AVX2, 2 baseline). The width is folded
-/// into both the program-cache key and the on-disk .so hash, so scalar and
-/// SIMD objects for the same kernel never collide.
+/// Vector width (in doubles, across work-items) the native emitter uses
+/// on this host: 8 with AVX-512F, 4 with AVX2, 2 baseline. The emitter
+/// prints explicit fixed-width vector lanes (GCC/Clang vector extensions)
+/// for the unmasked per-item ops, with f32 rounding as per-element
+/// widen→op→narrow conversions inside the vector body, so buffers stay
+/// bit-identical to the interpreters. The width is folded into both the
+/// program-cache key and the on-disk .so hash.
 int native_simd_width();
 
-/// Options for emit_native_source(); defaults reproduce scalar emission.
-struct NativeEmitOptions {
-  int simd_width = 0;  ///< vector lanes in doubles; 0 = scalar emission
-};
-
-/// Emits the specialized C++ translation unit for one compiled kernel.
-/// Pure and deterministic (the source depends only on the program, the
-/// kernel's reqd_work_group_size / argument shapes, and the options).
+/// Emits the specialized C++ translation unit for one compiled kernel at
+/// `simd_width` lanes (2, 4, 8 or 16; anything else throws). Pure and
+/// deterministic (the source depends only on the program, the kernel's
+/// reqd_work_group_size / argument shapes, and the width).
 std::string emit_native_source(const Kernel& kernel,
                                const CompiledKernel& prog,
-                               const NativeEmitOptions& opts = {});
+                               int simd_width = native_simd_width());
 
 /// Sets the on-disk .so cache directory (the --jit-cache-dir flag). An
 /// empty string restores the default: GEMMTUNE_JIT_CACHE if set, else a

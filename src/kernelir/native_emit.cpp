@@ -27,9 +27,8 @@
 // Every per-item op is then a set of unit-stride runs over the
 // work-items, whatever the kernel's own vector width. Consecutive
 // unmasked per-item ops (see item_op) are merged into one pass over the
-// items, printed as chunks of the host vector width (SIMD mode,
-// NativeEmitOptions::simd_width > 0) plus a scalar tail, or as a plain
-// scalar loop. Work-items never share a register or private slot, and
+// items, printed as chunks of the host vector width plus a scalar tail.
+// Work-items never share a register or private slot, and
 // each item still runs its instructions and lanes in program order, so
 // the reordering across items is invisible: registers are not observable
 // (only buffers, counters and error text are). Local stores (items may
@@ -87,12 +86,15 @@ bool vectorizable_width(int w) {
 
 class Emitter {
  public:
-  Emitter(const Kernel& k, const CompiledKernel& p, const NativeEmitOptions& o)
+  Emitter(const Kernel& k, const CompiledKernel& p, int simd_width)
       : k_(k),
         p_(p),
-        simd_(vectorizable_width(o.simd_width) ? o.simd_width : 0),
+        simd_(simd_width),
         ni_const_(k.reqd_local[0] > 0 ? k.reqd_local[0] * k.reqd_local[1]
-                                      : 0) {}
+                                      : 0) {
+    check(vectorizable_width(simd_),
+          strf("native emit: unsupported vector width %d", simd_));
+  }
 
   std::string run() {
     collect_labels();
@@ -184,10 +186,6 @@ class Emitter {
   /// vector width.
   template <typename Body>
   void pass(const Body& body) {
-    if (simd_ <= 0) {
-      line("for (long long t = 0; t < NI; ++t) { " + body(0) + "}");
-      return;
-    }
     line("{ long long t = 0;");
     line(strf("  for (; t + %d <= NI; t += %d) { ", simd_, simd_) +
          body(simd_) + "}");
@@ -346,9 +344,7 @@ class Emitter {
   /// every lane of every item before the first store, and the fused copy
   /// interleaves them, which an overlapping range could observe (distinct
   /// arrays occupy disjoint slab ranges, and globals are load-only here).
-  /// SIMD mode only — the scalar emitter stays the reference translation.
   void collect_fusions() {
-    if (simd_ <= 0) return;
     std::map<std::int32_t, std::vector<std::size_t>> cand;
     for (std::size_t i = 0; i + 1 < p_.code.size(); ++i) {
       if (is_target_[i + 1]) continue;
@@ -393,8 +389,8 @@ class Emitter {
 
   void prologue() {
     raw(strf("// Generated by the gemmtune native backend (emitter v3, "
-             "%s) for\n",
-             simd_ > 0 ? strf("simd w=%d", simd_).c_str() : "scalar"));
+             "simd w=%d) for\n",
+             simd_));
     raw("// kernel '" + k_.name + "'. Mirrors kernelir/vm.cpp semantics.\n");
     raw("#include <cstddef>\n#include <cstdio>\n#include <cstring>\n\n");
     // Host-width vectors over consecutive work-items (GCC/Clang vector
@@ -407,71 +403,69 @@ class Emitter {
     // own index (`gatp`/`sctp`: a private slot, whose run for item j is
     // offset by j). The helpers are forced inline: a whole kernel is one
     // function, past the size where GCC stops inlining on its own.
-    if (simd_ > 0) {
-      const int s = simd_;
-      const auto lanes = [s](const auto& elem) {
-        std::string l;
-        for (int j = 0; j < s; ++j) l += (j ? ", " : "") + elem(j);
-        return l;
-      };
-      const auto def = [this](const std::string& d) {
-        raw("inline __attribute__((always_inline)) " + d + "\n");
-      };
-      const std::string vd = strf("vd%d", s), vl = strf("vl%d", s);
-      if (s == 8)
-        raw("#if defined(__AVX512F__)\n#include <immintrin.h>\n#endif\n");
-      raw("namespace {\n");
-      raw(strf("typedef double %s __attribute__((vector_size(%d)));\n",
-               vd.c_str(), 8 * s));
-      raw(strf("typedef float vs%d __attribute__((vector_size(%d)));\n", s,
-               4 * s));
-      raw(strf("typedef long long %s __attribute__((vector_size(%d)));\n",
-               vl.c_str(), 8 * s));
-      def(strf("%s ld%d(const double* p) ", vd.c_str(), s) +
-          "{ " + vd + " v; __builtin_memcpy(&v, p, sizeof v); return v; }");
-      def(strf("void st%d(double* p, %s v) ", s, vd.c_str()) +
-          "{ __builtin_memcpy(p, &v, sizeof v); }");
-      const std::string generic_rnd = strf(
-          "{ return __builtin_convertvector(__builtin_convertvector(v, vs%d), "
-          "%s); }",
-          s, vd.c_str());
-      if (s == 8) {
-        raw("#if defined(__AVX512F__)\n");
-        def("vd8 rnd8(vd8 v) { return (vd8)_mm512_cvtps_pd("
-            "_mm512_cvtpd_ps((__m512d)v)); }");
-        raw("#else\n");
-      }
-      def(strf("%s rnd%d(%s v) ", vd.c_str(), s, vd.c_str()) + generic_rnd);
-      if (s == 8) raw("#endif\n");
-      def(strf("%s spl%d(double x) { return %s{", vd.c_str(), s, vd.c_str()) +
-          lanes([](int) { return std::string("x"); }) + "}; }");
-      def(strf("%s spli%d(long long x) { return %s{", vl.c_str(), s,
-               vl.c_str()) +
-          lanes([](int) { return std::string("x"); }) + "}; }");
-      def(strf("%s ldi%d(const long long* p) ", vl.c_str(), s) + "{ " + vl +
-          " v; __builtin_memcpy(&v, p, sizeof v); return v; }");
-      def(strf("void sti%d(long long* p, %s v) ", s, vl.c_str()) +
-          "{ __builtin_memcpy(p, &v, sizeof v); }");
-      def(strf("%s gat%d(const double* p, const long long* i) { return %s{",
-               vd.c_str(), s, vd.c_str()) +
-          lanes([](int j) { return strf("p[i[%d]]", j); }) + "}; }");
-      def(strf("%s gatf%d(const float* p, const long long* i) { return %s{",
-               vd.c_str(), s, vd.c_str()) +
-          lanes([](int j) { return strf("(double)p[i[%d]]", j); }) + "}; }");
-      def(strf("%s gatp%d(const double* p, const long long* i, long long ni) "
-               "{ return %s{",
-               vd.c_str(), s, vd.c_str()) +
-          lanes([](int j) { return strf("p[i[%d] * ni + %d]", j, j); }) +
-          "}; }");
-      std::string sct;
-      for (int j = 0; j < s; ++j)
-        sct += strf(" p[i[%d] * ni + %d] = v[%d];", j, j, j);
-      def(strf("void sctp%d(double* p, const long long* i, long long ni, "
-               "%s v) {",
-               s, vd.c_str()) +
-          sct + " }");
-      raw("}  // namespace\n\n");
+    const int s = simd_;
+    const auto lanes = [s](const auto& elem) {
+      std::string l;
+      for (int j = 0; j < s; ++j) l += (j ? ", " : "") + elem(j);
+      return l;
+    };
+    const auto def = [this](const std::string& d) {
+      raw("inline __attribute__((always_inline)) " + d + "\n");
+    };
+    const std::string vd = strf("vd%d", s), vl = strf("vl%d", s);
+    if (s == 8)
+      raw("#if defined(__AVX512F__)\n#include <immintrin.h>\n#endif\n");
+    raw("namespace {\n");
+    raw(strf("typedef double %s __attribute__((vector_size(%d)));\n",
+             vd.c_str(), 8 * s));
+    raw(strf("typedef float vs%d __attribute__((vector_size(%d)));\n", s,
+             4 * s));
+    raw(strf("typedef long long %s __attribute__((vector_size(%d)));\n",
+             vl.c_str(), 8 * s));
+    def(strf("%s ld%d(const double* p) ", vd.c_str(), s) +
+        "{ " + vd + " v; __builtin_memcpy(&v, p, sizeof v); return v; }");
+    def(strf("void st%d(double* p, %s v) ", s, vd.c_str()) +
+        "{ __builtin_memcpy(p, &v, sizeof v); }");
+    const std::string generic_rnd = strf(
+        "{ return __builtin_convertvector(__builtin_convertvector(v, vs%d), "
+        "%s); }",
+        s, vd.c_str());
+    if (s == 8) {
+      raw("#if defined(__AVX512F__)\n");
+      def("vd8 rnd8(vd8 v) { return (vd8)_mm512_cvtps_pd("
+          "_mm512_cvtpd_ps((__m512d)v)); }");
+      raw("#else\n");
     }
+    def(strf("%s rnd%d(%s v) ", vd.c_str(), s, vd.c_str()) + generic_rnd);
+    if (s == 8) raw("#endif\n");
+    def(strf("%s spl%d(double x) { return %s{", vd.c_str(), s, vd.c_str()) +
+        lanes([](int) { return std::string("x"); }) + "}; }");
+    def(strf("%s spli%d(long long x) { return %s{", vl.c_str(), s,
+             vl.c_str()) +
+        lanes([](int) { return std::string("x"); }) + "}; }");
+    def(strf("%s ldi%d(const long long* p) ", vl.c_str(), s) + "{ " + vl +
+        " v; __builtin_memcpy(&v, p, sizeof v); return v; }");
+    def(strf("void sti%d(long long* p, %s v) ", s, vl.c_str()) +
+        "{ __builtin_memcpy(p, &v, sizeof v); }");
+    def(strf("%s gat%d(const double* p, const long long* i) { return %s{",
+             vd.c_str(), s, vd.c_str()) +
+        lanes([](int j) { return strf("p[i[%d]]", j); }) + "}; }");
+    def(strf("%s gatf%d(const float* p, const long long* i) { return %s{",
+             vd.c_str(), s, vd.c_str()) +
+        lanes([](int j) { return strf("(double)p[i[%d]]", j); }) + "}; }");
+    def(strf("%s gatp%d(const double* p, const long long* i, long long ni) "
+             "{ return %s{",
+             vd.c_str(), s, vd.c_str()) +
+        lanes([](int j) { return strf("p[i[%d] * ni + %d]", j, j); }) +
+        "}; }");
+    std::string sct;
+    for (int j = 0; j < s; ++j)
+      sct += strf(" p[i[%d] * ni + %d] = v[%d];", j, j, j);
+    def(strf("void sctp%d(double* p, const long long* i, long long ni, "
+             "%s v) {",
+             s, vd.c_str()) +
+        sct + " }");
+    raw("}  // namespace\n\n");
     // Bit-exact floating constant pool, materialized at dlopen time.
     if (!p_.fpool.empty()) {
       raw("namespace {\n");
@@ -1239,10 +1233,6 @@ class Emitter {
     const std::string scan =
         "for (long long t2 = 0; t2 < NI; ++t2) { const long long idx = " +
         av + "[t2]; if (" + out_of_range(in, sfx) + ") " + fails + " }";
-    if (simd_ <= 0) {
-      line(scan);
-      return;
-    }
     line(strf("{ vl%d acc = {}; long long t = 0;", simd_));
     line(strf("  for (; t + %d <= NI; t += %d) { const vl%d v_ = ldi%d(",
               simd_, simd_, simd_, simd_) +
@@ -1262,7 +1252,7 @@ class Emitter {
 
   const Kernel& k_;
   const CompiledKernel& p_;
-  const int simd_;                ///< vector width in doubles; 0 = scalar
+  const int simd_;                ///< vector width in doubles
   const std::int64_t ni_const_;   ///< compile-time NI, 0 when runtime
   std::string out_;
   std::vector<char> is_target_;
@@ -1280,9 +1270,8 @@ class Emitter {
 }  // namespace
 
 std::string emit_native_source(const Kernel& kernel,
-                               const CompiledKernel& prog,
-                               const NativeEmitOptions& opts) {
-  Emitter e(kernel, prog, opts);
+                               const CompiledKernel& prog, int simd_width) {
+  Emitter e(kernel, prog, simd_width);
   return e.run();
 }
 

@@ -12,15 +12,12 @@
 // the plan, the program, and the global buffers — so buffers and counters
 // are bit-identical to the serial run at any thread count.
 //
-// Two dispatch strategies execute the same instruction set with identical
-// buffers, counters, and error messages:
-//  - "switch": the portable for(;;)-switch interpreter (every toolchain).
-//  - "threaded": classic threaded code — the program is pre-decoded once
-//    per machine into a table of computed-goto handler addresses, with hot
-//    opcodes specialized on their baked operand shapes (lane width, f32
-//    rounding, divergence masking, operand uniformity). Available on
-//    compilers with the GNU labels-as-values extension (GCC/Clang); on
-//    anything else "threaded" silently resolves to "switch".
+// Dispatch is classic threaded code: the program is pre-decoded once per
+// machine into a table of computed-goto handler addresses (the GNU
+// labels-as-values extension, which GCC and Clang provide), with hot
+// opcodes specialized on their baked operand shapes (lane width, f32
+// rounding, divergence masking, operand uniformity). The tree walker is
+// the reference it must match in buffers, counters and error messages.
 #pragma once
 
 #include <array>
@@ -61,21 +58,13 @@ struct LaunchPlan {
              const std::vector<ArgValue>& args);
 };
 
-/// Bytecode dispatch strategy. Resolution precedence mirrors Backend:
-/// explicit request > set_vm_dispatch_override > GEMMTUNE_VM_DISPATCH >
-/// threaded when the toolchain supports it, else switch.
-enum class VmDispatch { Auto, Switch, Threaded };
+/// The bytecode VM has one dispatch, threaded code. The enum, its resolver
+/// and its name exist only so run records (perfbench's report) can keep
+/// naming the dispatch they measured.
+enum class VmDispatch { Threaded };
 
-/// Process-wide dispatch override (the --vm-dispatch flag); Auto clears it.
-void set_vm_dispatch_override(VmDispatch d);
-
-/// Resolves the dispatch mode a VmMachine constructed now would use.
-/// Rejects unknown GEMMTUNE_VM_DISPATCH values; a resolved Threaded is
-/// downgraded to Switch when the build lacks computed-goto support.
-VmDispatch resolve_vm_dispatch(VmDispatch requested = VmDispatch::Auto);
-
-/// True when this build carries the computed-goto executor.
-bool vm_threaded_dispatch_supported();
+/// Always VmDispatch::Threaded.
+VmDispatch resolve_vm_dispatch();
 
 const char* to_string(VmDispatch d);
 
@@ -93,7 +82,6 @@ class VmMachine {
  private:
   struct Ops;  // shared op bodies for the specialized threaded handlers
   void run_group(std::int64_t gx, std::int64_t gy);
-  void run_group_switch();
   void run_group_threaded();
   std::int64_t builtin_u(int fn_dim) const;
 
@@ -116,7 +104,6 @@ class VmMachine {
   std::vector<MaskFrame> mask_stack_;
   int mask_depth_ = 0;
   Counters counters_;
-  bool threaded_ = false;          ///< resolved at construction
   std::vector<const void*> tcode_; ///< pre-decoded handler addresses
 };
 

@@ -18,7 +18,7 @@
 #include "common/runmeta.hpp"
 #include "common/stats.hpp"
 #include "kernelir/interp.hpp"
-#include "serve/core/sharded_queue.hpp"
+#include "serve/sharded_queue.hpp"
 #include "trace/trace.hpp"
 
 namespace gemmtune::serve {
@@ -139,31 +139,24 @@ AsyncOutcome AsyncServer::run(const std::vector<GemmRequest>& requests,
 }
 
 // ---------------------------------------------------------------------------
-// Virtual mode: the serial discrete-event loop over the sharded queue, with
-// executor threads carrying only the functional GEMM work. Every scheduling
-// decision below must stay in lockstep with GemmServer::run — the
-// differential harness enforces it.
+// Virtual mode: the server's discrete-event loop over this core's shard
+// count, with executor threads carrying only the functional GEMM work.
 // ---------------------------------------------------------------------------
 
 AsyncOutcome AsyncServer::run_virtual(const std::vector<GemmRequest>& requests,
                                       int max_batch, int queue_capacity) {
   trace::Span span("servecore.virtual");
-  const ServeOptions& opt = server_.options();
-  const std::size_t n = requests.size();
   const std::size_t nd = server_.devices().size();
   const auto slot_of = index_requests(requests);
 
   AsyncOutcome out;
-  out.base.responses.resize(n);
-  out.base.device_stats.resize(nd);
-  out.result_hash.assign(n, 0);
-  std::vector<char> infeasible(n, 0);
+  out.result_hash.assign(requests.size(), 0);
 
-  // Per-device execution channels: the coordinator hands each dispatched
+  // Per-device execution channels: the event loop hands each dispatched
   // batch's executable requests to its device's executor thread, which
   // runs the real kernel and records the checksum. Execution is a pure
-  // side channel — it never feeds back into scheduling — so the event
-  // loop stays bit-identical to the serial reference.
+  // side channel — it never feeds back into scheduling — so the outcome
+  // stays bit-identical to GemmServer::run.
   struct Channel {
     std::mutex mu;
     std::condition_variable cv;
@@ -173,8 +166,8 @@ AsyncOutcome AsyncServer::run_virtual(const std::vector<GemmRequest>& requests,
   std::vector<std::unique_ptr<Channel>> channels;
   std::vector<std::thread> executors;
   std::atomic<std::int64_t> executed{0};
-  const bool executing = opt_.execute_max_n > 0;
-  if (executing) {
+  DispatchHook submit_exec;
+  if (opt_.execute_max_n > 0) {
     for (std::size_t d = 0; d < nd; ++d)
       channels.push_back(std::make_unique<Channel>());
     for (std::size_t d = 0; d < nd; ++d) {
@@ -198,205 +191,23 @@ AsyncOutcome AsyncServer::run_virtual(const std::vector<GemmRequest>& requests,
         }
       });
     }
+    submit_exec = [&](std::size_t d, const std::vector<GemmRequest>& batch) {
+      std::vector<GemmRequest> task;
+      for (const GemmRequest& r : batch)
+        if (std::max({r.M, r.N, r.K}) <= opt_.execute_max_n)
+          task.push_back(r);
+      if (task.empty()) return;
+      Channel& ch = *channels[d];
+      {
+        std::lock_guard<std::mutex> lock(ch.mu);
+        ch.tasks.push_back(std::move(task));
+      }
+      ch.cv.notify_one();
+    };
   }
-  const auto submit_exec = [&](std::size_t d,
-                               const std::vector<GemmRequest>& batch) {
-    if (!executing) return;
-    std::vector<GemmRequest> task;
-    for (const GemmRequest& r : batch)
-      if (std::max({r.M, r.N, r.K}) <= opt_.execute_max_n)
-        task.push_back(r);
-    if (task.empty()) return;
-    Channel& ch = *channels[d];
-    {
-      std::lock_guard<std::mutex> lock(ch.mu);
-      ch.tasks.push_back(std::move(task));
-    }
-    ch.cv.notify_one();
-  };
 
-  struct Running {
-    PendingBatch batch;
-    double start = 0;
-    double finish = 0;
-    bool used_direct = false;
-    bool distributed = false;
-    std::int64_t batch_id = 0;
-  };
-  std::vector<std::optional<Running>> running(nd);
-  ShardedQueue queue(opt_.shards, max_batch, queue_capacity);
-  std::deque<GemmRequest> dist_queue;
-  const auto is_distributed = [&](const GemmRequest& r) {
-    return opt.dist_threshold_n > 0 &&
-           std::max({r.M, r.N, r.K}) >= opt.dist_threshold_n;
-  };
-  std::size_t next_arrival = 0;
-  double last_finish = 0;
-
-  const auto complete = [&](int d) {
-    const Running& run = *running[static_cast<std::size_t>(d)];
-    for (const GemmRequest& r : run.batch.requests) {
-      GemmResponse& resp = out.base.responses[slot_of.at(r.id)];
-      resp.request_id = r.id;
-      resp.status = RequestStatus::Completed;
-      resp.finish_seconds = run.finish;
-      resp.latency_seconds = run.finish - r.arrival_seconds;
-      resp.wait_seconds = run.start - r.arrival_seconds;
-      resp.device_index = run.distributed ? -1 : d;
-      resp.batch_id = run.batch_id;
-      resp.batch_size = static_cast<int>(run.batch.requests.size());
-      resp.used_direct = run.used_direct;
-      out.base.completed_flops += r.flops();
-    }
-    DeviceStats& ds = out.base.device_stats[static_cast<std::size_t>(d)];
-    if (!run.batch.requests.empty()) ds.batches += 1;
-    ds.requests += static_cast<std::int64_t>(run.batch.requests.size());
-    ds.busy_seconds += run.finish - run.start;
-    last_finish = std::max(last_finish, run.finish);
-    running[static_cast<std::size_t>(d)].reset();
-  };
-
-  const auto reject = [&](const GemmRequest& r, RequestStatus status,
-                          double when) {
-    GemmResponse& resp = out.base.responses[slot_of.at(r.id)];
-    resp.request_id = r.id;
-    resp.status = status;
-    resp.finish_seconds = when;
-    resp.wait_seconds = when - r.arrival_seconds;
-  };
-
-  // Minimum achievable completion time from a cold start: the best device
-  // taking the request alone, right now. Used by the infeasibility shed.
-  const auto best_case_seconds = [&](const GemmRequest& r) {
-    const auto& per_dev = server_.estimates_for(ShapeClass::of(r));
-    double best = kInf;
-    for (const PathEstimate& e : per_dev)
-      best = std::min(best, opt.dispatch_overhead_seconds + e.seconds);
-    return best;
-  };
-
-  for (;;) {
-    const double t_arrival =
-        next_arrival < n ? requests[next_arrival].arrival_seconds : kInf;
-    double t_device = kInf;
-    for (const auto& r : running)
-      if (r) t_device = std::min(t_device, r->finish);
-    const double clock = std::min(t_arrival, t_device);
-    if (!std::isfinite(clock)) break;
-
-    for (std::size_t d = 0; d < running.size(); ++d)
-      if (running[d] && running[d]->finish <= clock)
-        complete(static_cast<int>(d));
-
-    while (next_arrival < n &&
-           requests[next_arrival].arrival_seconds <= clock) {
-      const GemmRequest& r = requests[next_arrival++];
-      trace::counter_add("servecore.requests", 1);
-      if (is_distributed(r)) {
-        dist_queue.push_back(r);
-      } else if (opt_.shed_infeasible && r.deadline_seconds > 0 &&
-                 r.arrival_seconds + best_case_seconds(r) >
-                     r.deadline_seconds) {
-        infeasible[slot_of.at(r.id)] = 1;
-        reject(r, RequestStatus::RejectedDeadline, r.arrival_seconds);
-        trace::counter_add("servecore.shed_infeasible", 1);
-      } else if (!queue.admit(r)) {
-        reject(r, RequestStatus::RejectedQueueFull, r.arrival_seconds);
-        trace::counter_add("servecore.shed_queue_full", 1);
-      }
-    }
-
-    for (;;) {
-      std::size_t idle = 0;
-      for (const auto& r : running) idle += r ? 0 : 1;
-      if (idle == 0) break;
-      if (!dist_queue.empty()) {
-        // Fleet barrier, exactly as in the serial loop: drain, then every
-        // device runs the tiled dispatch together.
-        if (idle < running.size()) break;
-        const GemmRequest r = dist_queue.front();
-        dist_queue.pop_front();
-        if (r.deadline_seconds < clock) {
-          reject(r, RequestStatus::RejectedDeadline, clock);
-          continue;
-        }
-        const double secs = server_.dist_seconds(r);
-        const double finish = clock + opt.dispatch_overhead_seconds + secs;
-        const std::int64_t batch_id =
-            static_cast<std::int64_t>(out.base.batches.size());
-        for (std::size_t d = 0; d < running.size(); ++d) {
-          Running run;
-          run.batch.shape = ShapeClass::of(r);
-          if (d == 0) run.batch.requests.push_back(r);
-          run.start = clock;
-          run.finish = finish;
-          run.distributed = true;
-          run.batch_id = batch_id;
-          running[d] = std::move(run);
-        }
-        out.base.batches.push_back({batch_id, -1, ShapeClass::of(r), 1,
-                                    clock, finish, false, true});
-        continue;
-      }
-      std::vector<GemmRequest> expired;
-      const auto views = queue.group_views(clock, expired);
-      for (const GemmRequest& r : expired)
-        reject(r, RequestStatus::RejectedDeadline, clock);
-      expired.clear();
-      bool dispatched = false;
-      for (const auto& view : views) {
-        const std::vector<PathEstimate>& per_dev =
-            server_.estimates_for(view.shape);
-        int dev = -1;
-        double best_ect = kInf;
-        for (std::size_t d = 0; d < running.size(); ++d) {
-          const double free_at = running[d] ? running[d]->finish : clock;
-          const double ect = free_at + opt.dispatch_overhead_seconds +
-                             per_dev[d].seconds;
-          if (ect < best_ect) {
-            best_ect = ect;
-            dev = static_cast<int>(d);
-          }
-        }
-        if (running[static_cast<std::size_t>(dev)]) continue;
-        const PathEstimate& est = per_dev[static_cast<std::size_t>(dev)];
-        std::size_t limit = (view.size + idle - 1) / idle;
-        if (opt.max_batch_seconds > 0 && est.seconds > 0) {
-          const double cap = std::floor(opt.max_batch_seconds / est.seconds);
-          if (cap < static_cast<double>(limit))
-            limit = static_cast<std::size_t>(std::max(cap, 1.0));
-        }
-        auto batch = queue.pop_from(view.shape, clock, limit, expired);
-        for (const GemmRequest& r : expired)
-          reject(r, RequestStatus::RejectedDeadline, clock);
-        expired.clear();
-        if (!batch) continue;
-        Running run;
-        run.batch = std::move(*batch);
-        run.start = clock;
-        run.finish = clock + opt.dispatch_overhead_seconds +
-                     est.seconds *
-                         static_cast<double>(run.batch.requests.size());
-        run.used_direct = est.used_direct;
-        run.batch_id = static_cast<std::int64_t>(out.base.batches.size());
-        out.base.batches.push_back(
-            {run.batch_id, dev, run.batch.shape,
-             static_cast<int>(run.batch.requests.size()), run.start,
-             run.finish, run.used_direct});
-        trace::counter_add("servecore.batches", 1);
-        submit_exec(static_cast<std::size_t>(dev), run.batch.requests);
-        running[static_cast<std::size_t>(dev)] = std::move(run);
-        dispatched = true;
-        break;
-      }
-      if (!dispatched) break;
-    }
-  }
-  check(queue.empty(), "AsyncServer: queue drained incompletely");
-  check(dist_queue.empty(),
-        "AsyncServer: distributed queue drained incompletely");
-
-  if (executing) {
+  // Executors drain their queues and exit; joined on the error path too.
+  const auto stop_executors = [&] {
     for (auto& ch : channels) {
       {
         std::lock_guard<std::mutex> lock(ch->mu);
@@ -405,12 +216,19 @@ AsyncOutcome AsyncServer::run_virtual(const std::vector<GemmRequest>& requests,
       ch->cv.notify_one();
     }
     for (auto& t : executors) t.join();
+  };
+  std::vector<char> infeasible;
+  try {
+    out.base = server_.simulate(requests, max_batch, queue_capacity,
+                                opt_.shards,
+                                opt_.shed_infeasible ? &infeasible : nullptr,
+                                submit_exec);
+  } catch (...) {
+    stop_executors();
+    throw;
   }
+  stop_executors();
 
-  out.base.peak_queue_depth = queue.peak_depth();
-  const double first_arrival = n > 0 ? requests.front().arrival_seconds : 0;
-  out.base.makespan_seconds =
-      last_finish > first_arrival ? last_finish - first_arrival : 0;
   out.executed = executed.load();
   finalize_accounting(requests, infeasible, out);
   return out;
@@ -487,7 +305,7 @@ AsyncOutcome AsyncServer::run_realtime(
     for (std::size_t i = 0; i < n; ++i) {
       const GemmRequest& r = requests[i];
       sleep_until_virtual(r.arrival_seconds);
-      trace::counter_add("servecore.requests", 1);
+      trace::counter_add("serve.requests", 1);
       if (opt_.shed_infeasible && r.deadline_seconds > 0) {
         const auto per_dev = estimate_row(ShapeClass::of(r));
         double best = kInf;
@@ -496,7 +314,7 @@ AsyncOutcome AsyncServer::run_realtime(
         if (r.arrival_seconds + best > r.deadline_seconds) {
           infeasible[i] = 1;
           reject(r, RequestStatus::RejectedDeadline, r.arrival_seconds);
-          trace::counter_add("servecore.shed_infeasible", 1);
+          trace::counter_add("serve.shed_infeasible", 1);
           continue;
         }
       }
@@ -504,7 +322,7 @@ AsyncOutcome AsyncServer::run_realtime(
       if (!queue.admit(r)) {
         in_flight.fetch_sub(1, std::memory_order_acq_rel);
         reject(r, RequestStatus::RejectedQueueFull, r.arrival_seconds);
-        trace::counter_add("servecore.shed_queue_full", 1);
+        trace::counter_add("serve.rejects_queue_full", 1);
       }
     }
     arrivals_done.store(true, std::memory_order_release);
@@ -619,7 +437,7 @@ AsyncOutcome AsyncServer::run_realtime(
              static_cast<int>(batch->requests.size()), start, finish,
              e.used_direct});
         local.last_finish = std::max(local.last_finish, finish);
-        trace::counter_add("servecore.batches", 1);
+        trace::counter_add("serve.batches", 1);
         in_flight.fetch_sub(
             static_cast<std::int64_t>(batch->requests.size()),
             std::memory_order_acq_rel);

@@ -4,17 +4,16 @@
 //
 // Two execution modes, selected by AsyncOptions::time_scale:
 //
-//  * Virtual mode (time_scale == 0, the default). A single coordinator
-//    drives the same discrete-event simulation as the serial GemmServer —
-//    identical earliest-completion-time placement, batch spread cap,
-//    per-batch serial-time cap, deadline expiry, and distributed-request
-//    barrier — over the ShardedQueue instead of the BatchScheduler. Every
-//    scheduling decision is bit-identical to the serial reference at any
-//    shard or thread count; the executor threads only carry the functional
-//    GEMM work (real kernel execution + checksum of the C buffer) for
-//    requests small enough to execute. This is the mode the differential
-//    harness compares against the serial loop, and the mode CI gates,
-//    because its whole outcome is deterministic.
+//  * Virtual mode (time_scale == 0, the default). Runs GemmServer's own
+//    discrete-event loop (GemmServer::simulate) with this core's shard
+//    count, the optional infeasibility shed, and a hook that hands each
+//    placed batch to its device's executor thread. Without shedding, the
+//    outcome is bit-identical to GemmServer::run at any shard or thread
+//    count; the executor threads only carry the functional GEMM work
+//    (real kernel execution + checksum of the C buffer) for requests small
+//    enough to execute. This is the mode the differential harness
+//    compares against GemmServer::run, and the mode CI gates, because its
+//    whole outcome is deterministic.
 //
 //  * Realtime mode (time_scale > 0). Arrivals are paced in scaled
 //    wall-clock time by an admission thread; per-device executor threads

@@ -1,15 +1,17 @@
-// Serial-vs-concurrent differential harness (the tree-vs-bytecode pattern
-// applied to the serving layer): replay one seeded workload through the
-// serial GemmServer and the concurrent AsyncServer and compare.
+// Serial-vs-concurrent differential harness: replay one seeded workload
+// through GemmServer::run and the concurrent AsyncServer and compare.
 //
-// In virtual mode (time_scale == 0, shed_infeasible off) the comparison is
-// exact — every response field, every batch record, the queue peak and the
-// makespan must match bit for bit, and each executed request's C-buffer
-// checksum must equal the checksum of the same request run on the same
-// device serially. In realtime mode the outcomes legitimately diverge
-// (that is the point of executor parallelism), so the harness checks the
-// accounting invariant and reports the completed-count ratio instead of
-// failing on it.
+// Both virtual-mode runs go through the one event loop
+// (GemmServer::simulate), the serial run at one queue shard and no
+// executors. So in virtual mode (time_scale == 0, shed_infeasible off) the
+// comparison checks that the outcome does not change with the shard count
+// or with the executor threads: every response field, every batch record,
+// the queue peak and the makespan must match bit for bit, and each
+// executed request's C-buffer checksum must equal the checksum of the same
+// request run on the same device by the calling thread. In realtime mode
+// the outcomes legitimately diverge (that is the point of executor
+// parallelism), so the harness checks the accounting invariant and reports
+// the completed-count ratio instead of failing on it.
 #pragma once
 
 #include <string>

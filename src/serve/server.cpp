@@ -13,6 +13,7 @@
 #include "common/stats.hpp"
 #include "common/thread_pool.hpp"
 #include "kernelir/interp.hpp"
+#include "serve/sharded_queue.hpp"
 #include "trace/trace.hpp"
 
 namespace gemmtune::serve {
@@ -217,6 +218,13 @@ double GemmServer::dist_seconds(const GemmRequest& r) {
 
 ServeOutcome GemmServer::run(const std::vector<GemmRequest>& requests,
                              int max_batch, int queue_capacity) {
+  return simulate(requests, max_batch, queue_capacity, 1, nullptr, {});
+}
+
+ServeOutcome GemmServer::simulate(const std::vector<GemmRequest>& requests,
+                                  int max_batch, int queue_capacity,
+                                  int shards, std::vector<char>* infeasible,
+                                  const DispatchHook& on_dispatch) {
   check(warmed_, "GemmServer::run: call warmup() first");
   ensure_estimates(requests);
   trace::Span span("serve.simulate");
@@ -231,6 +239,7 @@ ServeOutcome GemmServer::run(const std::vector<GemmRequest>& requests,
                         requests[i].arrival_seconds,
           "GemmServer::run: requests must be sorted by arrival time");
   }
+  if (infeasible != nullptr) infeasible->assign(n, 0);
 
   ServeOutcome out;
   out.responses.resize(n);
@@ -246,11 +255,20 @@ ServeOutcome GemmServer::run(const std::vector<GemmRequest>& requests,
   };
   constexpr double kInf = std::numeric_limits<double>::infinity();
   std::vector<std::optional<Running>> running(devices_.size());
-  BatchScheduler sched(max_batch, queue_capacity);
+  ShardedQueue queue(shards, max_batch, queue_capacity);
   std::deque<GemmRequest> dist_queue;  // oversized requests, FIFO
   const auto is_distributed = [&](const GemmRequest& r) {
     return opt_.dist_threshold_n > 0 &&
            std::max({r.M, r.N, r.K}) >= opt_.dist_threshold_n;
+  };
+  // Earliest completion from a cold start: the best device taking the
+  // request alone, right now. The infeasibility shed compares it with
+  // the deadline.
+  const auto best_case_seconds = [&](const GemmRequest& r) {
+    double best = kInf;
+    for (const PathEstimate& e : estimates_.at(ShapeClass::of(r)))
+      best = std::min(best, opt_.dispatch_overhead_seconds + e.seconds);
+    return best;
   };
   std::size_t next_arrival = 0;
   double last_finish = 0;
@@ -284,16 +302,19 @@ ServeOutcome GemmServer::run(const std::vector<GemmRequest>& requests,
   };
 
   const auto reject = [&](const GemmRequest& r, RequestStatus status,
-                          double when) {
+                          double when, const char* counter) {
     GemmResponse& resp = out.responses[slot_of.at(r.id)];
     resp.request_id = r.id;
     resp.status = status;
     resp.finish_seconds = when;
     resp.wait_seconds = when - r.arrival_seconds;
-    trace::counter_add(status == RequestStatus::RejectedQueueFull
-                           ? "serve.rejects_queue_full"
-                           : "serve.rejects_deadline",
-                       1);
+    trace::counter_add(counter, 1);
+  };
+  const auto expire = [&](std::vector<GemmRequest>& expired, double when) {
+    for (const GemmRequest& r : expired)
+      reject(r, RequestStatus::RejectedDeadline, when,
+             "serve.rejects_deadline");
+    expired.clear();
   };
 
   for (;;) {
@@ -318,8 +339,15 @@ ServeOutcome GemmServer::run(const std::vector<GemmRequest>& requests,
       if (is_distributed(r)) {
         dist_queue.push_back(r);
         trace::counter_add("serve.distributed_requests", 1);
-      } else if (!sched.admit(r)) {
-        reject(r, RequestStatus::RejectedQueueFull, r.arrival_seconds);
+      } else if (infeasible != nullptr && r.deadline_seconds > 0 &&
+                 r.arrival_seconds + best_case_seconds(r) >
+                     r.deadline_seconds) {
+        (*infeasible)[slot_of.at(r.id)] = 1;
+        reject(r, RequestStatus::RejectedDeadline, r.arrival_seconds,
+               "serve.shed_infeasible");
+      } else if (!queue.admit(r)) {
+        reject(r, RequestStatus::RejectedQueueFull, r.arrival_seconds,
+               "serve.rejects_queue_full");
       }
     }
 
@@ -344,8 +372,9 @@ ServeOutcome GemmServer::run(const std::vector<GemmRequest>& requests,
         if (idle < running.size()) break;
         const GemmRequest r = dist_queue.front();
         dist_queue.pop_front();
-        if (r.deadline_seconds < clock) {
-          reject(r, RequestStatus::RejectedDeadline, clock);
+        if (r.expired_at(clock)) {
+          reject(r, RequestStatus::RejectedDeadline, clock,
+                 "serve.rejects_deadline");
           continue;
         }
         trace::Span dist_span("serve.dist_batch");
@@ -371,10 +400,8 @@ ServeOutcome GemmServer::run(const std::vector<GemmRequest>& requests,
         continue;  // all devices busy now; loop exits via idle == 0
       }
       std::vector<GemmRequest> expired;
-      const auto views = sched.group_views(clock, expired);
-      for (const GemmRequest& r : expired)
-        reject(r, RequestStatus::RejectedDeadline, clock);
-      expired.clear();
+      const auto views = queue.group_views(clock, expired);
+      expire(expired, clock);
       bool dispatched = false;
       for (const auto& view : views) {
         const std::vector<PathEstimate>& per_dev = estimates_.at(view.shape);
@@ -402,10 +429,8 @@ ServeOutcome GemmServer::run(const std::vector<GemmRequest>& requests,
           if (cap < static_cast<double>(limit))
             limit = static_cast<std::size_t>(std::max(cap, 1.0));
         }
-        auto batch = sched.pop_from(view.shape, clock, limit, expired);
-        for (const GemmRequest& r : expired)
-          reject(r, RequestStatus::RejectedDeadline, clock);
-        expired.clear();
+        auto batch = queue.pop_from(view.shape, clock, limit, expired);
+        expire(expired, clock);
         if (!batch) continue;
         trace::Span batch_span("serve.batch");
         Running run;
@@ -422,6 +447,8 @@ ServeOutcome GemmServer::run(const std::vector<GemmRequest>& requests,
         trace::counter_add("serve.batches", 1);
         trace::counter_add("serve.batched_requests",
                            run.batch.requests.size());
+        if (on_dispatch)
+          on_dispatch(static_cast<std::size_t>(dev), run.batch.requests);
         running[static_cast<std::size_t>(dev)] = std::move(run);
         dispatched = true;
         break;  // device set changed: recompute views and idle count
@@ -429,11 +456,11 @@ ServeOutcome GemmServer::run(const std::vector<GemmRequest>& requests,
       if (!dispatched) break;
     }
   }
-  check(sched.empty(), "GemmServer::run: scheduler drained incompletely");
+  check(queue.empty(), "GemmServer::run: scheduler drained incompletely");
   check(dist_queue.empty(),
         "GemmServer::run: distributed queue drained incompletely");
 
-  out.peak_queue_depth = sched.peak_depth();
+  out.peak_queue_depth = queue.peak_depth();
   const double first_arrival = n > 0 ? requests.front().arrival_seconds : 0;
   out.makespan_seconds = last_finish > first_arrival
                              ? last_finish - first_arrival

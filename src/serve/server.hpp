@@ -12,7 +12,10 @@
 //     precomputed in parallel (PerfModel is a pure function, so thread
 //     count cannot change any value in it); the event loop itself is
 //     serial, so the same workload yields the bit-identical outcome at
-//     any --threads / GEMMTUNE_THREADS setting.
+//     any --threads / GEMMTUNE_THREADS setting. The loop is simulate();
+//     the concurrent core's virtual mode (src/serve/core) runs the same
+//     loop with more queue shards, admission-time shedding and a hand-off
+//     of each batch to executor threads.
 //
 // Batch cost model: one dispatch pays a fixed enqueue overhead (the
 // OpenCL-era kernel-launch cost) plus the per-request time of the batch's
@@ -23,6 +26,7 @@
 // time baseline.
 #pragma once
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -34,7 +38,6 @@
 #include "common/json.hpp"
 #include "common/thread_pool.hpp"
 #include "dist/executor.hpp"
-#include "serve/scheduler.hpp"
 #include "serve/workload.hpp"
 #include "tuner/strategy/strategy.hpp"
 
@@ -120,14 +123,19 @@ struct ServeOutcome {
 
 /// Modeled cost of serving one request of a shape class on one device:
 /// the PerfModel-backed choice between the pack path and the copy-free
-/// direct path. Shared between the serial event loop and the concurrent
-/// core (src/serve/core), which must place batches from the same numbers
-/// to stay differentially comparable.
+/// direct path. Shared between the event loop and the concurrent core's
+/// realtime mode (src/serve/core).
 struct PathEstimate {
   double seconds = 0;       ///< per-request service time
   bool used_direct = false;
   double gflops = 0;
 };
+
+/// Receives each batch the event loop places on a device: the device
+/// index and the requests in dispatch order. Not called for distributed
+/// (whole-fleet) dispatches.
+using DispatchHook =
+    std::function<void(std::size_t, const std::vector<GemmRequest>&)>;
 
 class GemmServer {
  public:
@@ -147,6 +155,18 @@ class GemmServer {
   /// unbatched one-request-at-a-time baseline.
   ServeOutcome run(const std::vector<GemmRequest>& requests, int max_batch,
                    int queue_capacity);
+
+  /// The service's discrete-event loop, behind run() (one shard, no
+  /// hooks) and AsyncServer's virtual mode. `shards` splits the admission
+  /// queue into lock domains; the outcome is invariant under it. With
+  /// `infeasible` non-null, a request whose deadline the best device
+  /// would miss even starting at its arrival is rejected at admission and
+  /// flagged there (parallel to `requests`). `on_dispatch`, when set, sees
+  /// every device batch as it is placed.
+  ServeOutcome simulate(const std::vector<GemmRequest>& requests,
+                        int max_batch, int queue_capacity, int shards,
+                        std::vector<char>* infeasible,
+                        const DispatchHook& on_dispatch);
 
   /// Fills the estimate table for every shape class in `requests` on every
   /// device (parallel; pure, so thread-count invariant).

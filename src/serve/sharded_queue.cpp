@@ -1,4 +1,4 @@
-#include "serve/core/sharded_queue.hpp"
+#include "serve/sharded_queue.hpp"
 
 #include <algorithm>
 
@@ -58,9 +58,9 @@ void ShardedQueue::skim_expired(std::deque<GemmRequest>& q, double clock,
   release(dropped);
 }
 
-std::vector<BatchScheduler::GroupView> ShardedQueue::group_views(
+std::vector<GroupView> ShardedQueue::group_views(
     double clock, std::vector<GemmRequest>& expired) {
-  std::vector<BatchScheduler::GroupView> views;
+  std::vector<GroupView> views;
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
     for (auto it = shard->groups.begin(); it != shard->groups.end();) {
@@ -73,11 +73,10 @@ std::vector<BatchScheduler::GroupView> ShardedQueue::group_views(
       ++it;
     }
   }
-  // Serial dispatch order. Head ids are unique across groups, so this is a
-  // total order — the merge is independent of the shard walk above.
+  // Dispatch order. Head ids are unique across groups, so this is a total
+  // order — the merge is independent of the shard walk above.
   std::sort(views.begin(), views.end(),
-            [](const BatchScheduler::GroupView& a,
-               const BatchScheduler::GroupView& b) {
+            [](const GroupView& a, const GroupView& b) {
               if (a.head.priority != b.head.priority)
                 return a.head.priority > b.head.priority;
               if (a.head.arrival_seconds != b.head.arrival_seconds)

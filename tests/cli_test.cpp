@@ -15,7 +15,6 @@
 #include "kernelir/emit.hpp"
 #include "kernelir/interp.hpp"
 #include "kernelir/native.hpp"
-#include "kernelir/vm.hpp"
 
 namespace gemmtune {
 namespace {
@@ -143,38 +142,15 @@ TEST(Cli, InterpFlagSelectsBackend) {
 }
 
 TEST(Cli, VmDispatchAndNativeSimdFlags) {
-  // Both knobs must verify successfully in every mode (the contract is
-  // bit-identical results, so PASS is the only acceptable outcome) and
-  // land in the process-wide overrides; bad values are rejected with the
-  // keyval-style message.
-  auto [rc1, out1] = run_cli({"--vm-dispatch", "switch", "verify", "Tahiti",
-                              "DGEMM", "40", "30", "20"});
-  EXPECT_EQ(rc1, 0) << out1;
-  EXPECT_EQ(ir::resolve_vm_dispatch(), ir::VmDispatch::Switch);
-  auto [rc2, out2] = run_cli({"--vm-dispatch=threaded", "verify", "Tahiti",
-                              "DGEMM", "40", "30", "20"});
-  EXPECT_EQ(rc2, 0) << out2;
-  auto [rc3, out3] = run_cli({"--native-simd=off", "verify", "Tahiti",
-                              "DGEMM", "40", "30", "20"});
-  EXPECT_EQ(rc3, 0) << out3;
-  EXPECT_EQ(ir::native_simd_width(), 0);
-  auto [rc4, out4] = run_cli({"--native-simd", "on", "verify", "Tahiti",
-                              "DGEMM", "40", "30", "20"});
-  EXPECT_EQ(rc4, 0) << out4;
-  EXPECT_GT(ir::native_simd_width(), 0);
-  auto [rc5, out5] = run_cli({"--vm-dispatch", "goto", "devices"});
-  EXPECT_EQ(rc5, 1);
-  EXPECT_NE(
-      out5.find("--vm-dispatch: unknown value 'goto' (use switch, threaded)"),
-      std::string::npos)
-      << out5;
-  auto [rc6, out6] = run_cli({"--native-simd=avx", "devices"});
-  EXPECT_EQ(rc6, 1);
-  EXPECT_NE(out6.find("--native-simd: unknown value 'avx' (use on, off)"),
-            std::string::npos)
-      << out6;
-  ir::set_vm_dispatch_override(ir::VmDispatch::Auto);
-  ir::set_native_simd_override(ir::NativeSimd::Auto);
+  // The bytecode VM has one dispatch and the JIT one emission, so the
+  // flags that used to pick between them are unknown options now.
+  for (const char* flag : {"--vm-dispatch", "--native-simd"}) {
+    auto [rc, out] = run_cli({flag, "on", "devices"});
+    EXPECT_EQ(rc, 1) << out;
+    EXPECT_NE(out.find("unknown option '" + std::string(flag) + "'"),
+              std::string::npos)
+        << out;
+  }
 }
 
 TEST(Cli, JitCacheDirFlagPopulatesCache) {

@@ -12,6 +12,7 @@
 #include "clfront/parser.hpp"
 #include "codegen/gemm_generator.hpp"
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "kernelir/emit.hpp"
 #include "kernelir/interp.hpp"
 #include "kernelir/native.hpp"
@@ -64,10 +65,18 @@ KernelParams random_params(Rng& rng) {
   return p;
 }
 
+/// Fuzzed shapes that also run the native JIT leg. Each distinct kernel
+/// is a cold host-compiler build of ~20 s, so only the first few shapes
+/// run it — enough to catch an emitter divergence across the random
+/// parameter space without blowing up the suite's runtime.
+constexpr int kNativeShapes = 8;
+
 /// Runs both the generated kernel and its emit->parse round trip on the
-/// same random data; checks correctness and equivalence.
+/// same random data; checks correctness and equivalence, and with
+/// `native` the native JIT against the bytecode VM too.
 template <typename T>
-void check_kernel_properties(const KernelParams& p, std::uint64_t seed) {
+void check_kernel_properties(const KernelParams& p, std::uint64_t seed,
+                             bool native) {
   Rng rng(seed);
   const index_t M = 2 * p.Mwg, N = 2 * p.Nwg, K = 2 * p.Kwg;
   Matrix<T> A(M, K), B(K, N), C(M, N);
@@ -123,13 +132,7 @@ void check_kernel_properties(const KernelParams& p, std::uint64_t seed) {
   EXPECT_EQ(out1, out_tree) << "backend divergence: " << p.summary();
   EXPECT_EQ(c_byte, c_tree) << "counter divergence: " << p.summary();
 
-  // Native leg: each distinct kernel costs one host-compiler invocation
-  // (~1s), so only the first few fuzzed shapes run it — enough to catch an
-  // emitter divergence across the random parameter space without blowing
-  // up the suite's runtime.
-  static int native_budget = 8;
-  if (native_budget > 0 && ir::native_toolchain_available()) {
-    --native_budget;
+  if (native) {
     ir::Counters c_native;
     const auto out_native = run(k1, ir::Backend::Native, &c_native);
     EXPECT_EQ(out1, out_native) << "native divergence: " << p.summary();
@@ -146,20 +149,40 @@ void check_kernel_properties(const KernelParams& p, std::uint64_t seed) {
 TEST(FuzzCodegen, RandomValidParameterSets) {
   const auto& dev = simcl::device_spec(simcl::DeviceId::Tahiti);
   Rng rng(0xFACADE);
-  int tested = 0, rejected = 0;
-  while (tested < 60) {
+  std::vector<KernelParams> params;
+  int rejected = 0;
+  while (params.size() < 60) {
     const KernelParams p = random_params(rng);
     if (validate(p, dev)) {
       ++rejected;
       ASSERT_LT(rejected, 5000) << "sampler cannot find valid sets";
       continue;
     }
-    if (p.prec == Precision::DP) {
-      check_kernel_properties<double>(p, 0x1000u + static_cast<unsigned>(tested));
+    params.push_back(p);
+  }
+  // Build the native leg's objects concurrently up front (the compiler
+  // runs outside the JIT's lock); the checks below then load them from
+  // the program cache.
+  const bool native = ir::native_toolchain_available();
+  if (native) {
+    ThreadPool::global().parallel_for(
+        kNativeShapes, [&](std::int64_t begin, std::int64_t end, int) {
+          for (std::int64_t i = begin; i < end; ++i)
+            (void)ir::get_or_compile_native(codegen::generate_gemm_kernel(
+                params[static_cast<std::size_t>(i)]));
+        });
+  }
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    const auto tested = static_cast<unsigned>(i);
+    const bool run_native =
+        native && i < static_cast<std::size_t>(kNativeShapes);
+    if (params[i].prec == Precision::DP) {
+      check_kernel_properties<double>(params[i], 0x1000u + tested,
+                                      run_native);
     } else {
-      check_kernel_properties<float>(p, 0x2000u + static_cast<unsigned>(tested));
+      check_kernel_properties<float>(params[i], 0x2000u + tested,
+                                     run_native);
     }
-    ++tested;
   }
   // The space must contain both valid and invalid points.
   EXPECT_GT(rejected, 0);

@@ -1,7 +1,8 @@
 // Serving subsystem tests: workload generator determinism, trace round
-// trip, scheduler batching/backpressure/deadline semantics, thread-count
-// invariance of the full report, warm-cache persistence, and the
-// batched-vs-unbatched throughput guarantee.
+// trip, admission-queue backpressure/ordering/deadline semantics at
+// several shard counts, thread-count invariance of the full report,
+// warm-cache persistence, and the batched-vs-unbatched throughput
+// guarantee.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -10,21 +11,21 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "serve/scheduler.hpp"
 #include "serve/server.hpp"
+#include "serve/sharded_queue.hpp"
 #include "serve/workload.hpp"
 
 namespace gemmtune {
 namespace {
 
 using codegen::Precision;
-using serve::BatchScheduler;
 using serve::GemmRequest;
 using serve::GemmServer;
 using serve::RequestStatus;
 using serve::ServeOptions;
 using serve::ServeOutcome;
 using serve::ShapeClass;
+using serve::ShardedQueue;
 using serve::WorkloadSpec;
 using simcl::DeviceId;
 
@@ -166,47 +167,94 @@ TEST(WorkloadTest, SpecParserNamesUnknownKeys) {
   }
 }
 
-TEST(SchedulerTest, BackpressureAtCapacity) {
-  BatchScheduler sched(16, 4);
-  int admitted = 0;
-  for (int i = 0; i < 30; ++i)
-    admitted += sched.admit(small_request(i)) ? 1 : 0;
-  EXPECT_EQ(admitted, 4);
-  EXPECT_EQ(sched.depth(), 4u);
-  EXPECT_EQ(sched.peak_depth(), 4u);
+// The queue's behaviour must not depend on how many lock shards it uses,
+// so every queue test runs at several shard counts.
+constexpr int kShardCounts[] = {1, 4, 7};
+
+TEST(ShardedQueueTest, BackpressureAndPeakDepthAtCapacity) {
+  // The depth bound is global: the first 16 arrivals are admitted and the
+  // rest bounce off, over five shape classes at any shard count.
+  for (const int shards : kShardCounts) {
+    ShardedQueue q(shards, /*max_batch=*/8, /*queue_capacity=*/16);
+    for (int i = 0; i < 40; ++i) {
+      GemmRequest r = small_request(i, /*arrival=*/i * 1e-6);
+      r.M = r.N = r.K = 16 * (1 + i % 5);
+      EXPECT_EQ(q.admit(r), i < 16) << "shards=" << shards << " id=" << i;
+    }
+    EXPECT_EQ(q.depth(), 16u);
+    EXPECT_EQ(q.peak_depth(), 16u);
+  }
 }
 
-TEST(SchedulerTest, PriorityThenArrivalOrdersGroups) {
-  BatchScheduler sched(16, 64);
-  GemmRequest lo = small_request(0, 0.0, 0, /*priority=*/0);
-  GemmRequest hi = small_request(1, 0.5, 0, /*priority=*/2);
-  hi.prec = Precision::DP;  // different group
-  ASSERT_TRUE(sched.admit(lo));
-  ASSERT_TRUE(sched.admit(hi));
-  std::vector<GemmRequest> expired;
-  const auto views = sched.group_views(1.0, expired);
-  ASSERT_EQ(views.size(), 2u);
-  EXPECT_EQ(views[0].head.id, 1) << "high priority first";
-  EXPECT_EQ(views[1].head.id, 0);
-  EXPECT_TRUE(expired.empty());
+TEST(ShardedQueueTest, PriorityThenArrivalThenIdOrdersGroups) {
+  std::vector<GemmRequest> reqs;
+  const auto add = [&](std::int64_t id, Precision prec, index_t n,
+                       double arrival, int priority) {
+    GemmRequest r = small_request(id, arrival, 0, priority);
+    r.prec = prec;
+    r.M = r.N = r.K = n;
+    reqs.push_back(r);
+  };
+  add(0, Precision::SP, 64, 0.0, 0);
+  add(1, Precision::DP, 64, 0.5, 2);
+  add(2, Precision::SP, 128, 0.2, 2);
+  add(3, Precision::DP, 128, 0.1, 0);
+  add(4, Precision::SP, 64, 0.6, 5);  // joins id 0's group behind its head
+  add(5, Precision::SP, 32, 0.0, 0);  // ties id 0 on priority and arrival
+  for (const int shards : kShardCounts) {
+    ShardedQueue q(shards, 16, 64);
+    for (const auto& r : reqs) ASSERT_TRUE(q.admit(r));
+    std::vector<GemmRequest> expired;
+    const auto views = q.group_views(1.0, expired);
+    std::vector<std::int64_t> heads;
+    std::vector<std::size_t> sizes;
+    for (const auto& v : views) {
+      heads.push_back(v.head.id);
+      sizes.push_back(v.size);
+      EXPECT_EQ(v.shape, ShapeClass::of(v.head));
+    }
+    EXPECT_EQ(heads, (std::vector<std::int64_t>{2, 1, 0, 5, 3}))
+        << "shards=" << shards;
+    EXPECT_EQ(sizes, (std::vector<std::size_t>{1, 1, 2, 1, 1}));
+    EXPECT_TRUE(expired.empty());
+  }
 }
 
-TEST(SchedulerTest, PopSkimsExpiredWithoutBatchingThem) {
-  BatchScheduler sched(16, 64);
-  ASSERT_TRUE(sched.admit(small_request(0, 0.0, /*deadline=*/0.5)));
-  ASSERT_TRUE(sched.admit(small_request(1, 0.0, /*deadline=*/5.0)));
-  ASSERT_TRUE(sched.admit(small_request(2, 0.0, /*deadline=*/0.5)));
-  std::vector<GemmRequest> expired;
-  const auto batch =
-      sched.pop_from(ShapeClass::of(small_request(0)), /*clock=*/1.0, 16,
-                     expired);
-  ASSERT_TRUE(batch.has_value());
-  ASSERT_EQ(batch->requests.size(), 1u);
-  EXPECT_EQ(batch->requests[0].id, 1);
-  ASSERT_EQ(expired.size(), 2u);
-  EXPECT_EQ(expired[0].id, 0);
-  EXPECT_EQ(expired[1].id, 2);
-  EXPECT_TRUE(sched.empty());
+TEST(ShardedQueueTest, SkimsExpiredWithoutBatchingThemAndReleasesDepth) {
+  for (const int shards : kShardCounts) {
+    ShardedQueue q(shards, /*max_batch=*/16, /*queue_capacity=*/64);
+    ASSERT_TRUE(q.admit(small_request(0, 0.0, /*deadline=*/0.5)));
+    ASSERT_TRUE(q.admit(small_request(1, 0.0, /*deadline=*/5.0)));
+    ASSERT_TRUE(q.admit(small_request(2, 0.0, /*deadline=*/0.5)));
+    GemmRequest lone = small_request(3, 0.0, /*deadline=*/0.5);
+    lone.prec = Precision::DP;  // a group of its own
+    ASSERT_TRUE(q.admit(lone));
+    EXPECT_EQ(q.depth(), 4u);
+    // The lone group's head is dead by t=1: skimmed, not viewed. The SGEMM
+    // group's head (id 0) is skimmed too, leaving id 1 at its head.
+    std::vector<GemmRequest> expired;
+    const auto views = q.group_views(/*clock=*/1.0, expired);
+    ASSERT_EQ(views.size(), 1u);
+    EXPECT_EQ(views[0].head.id, 1);
+    ASSERT_EQ(expired.size(), 2u);
+    EXPECT_EQ(q.depth(), 2u);
+    // Popping meets id 2 (expired) behind id 1: it is skimmed, not batched.
+    expired.clear();
+    const auto batch = q.pop_from(ShapeClass::of(small_request(0)),
+                                  /*clock=*/1.0, 16, expired);
+    ASSERT_TRUE(batch.has_value());
+    ASSERT_EQ(batch->requests.size(), 1u);
+    EXPECT_EQ(batch->requests[0].id, 1);
+    ASSERT_EQ(expired.size(), 1u);
+    EXPECT_EQ(expired[0].id, 2);
+    // Popped and expired slots are released back to the global bound.
+    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(q.depth(), 0u);
+    EXPECT_EQ(q.peak_depth(), 4u);
+    EXPECT_FALSE(q.pop_from(ShapeClass::of(small_request(0)), 1.0, 16,
+                            expired)
+                     .has_value());
+  }
 }
 
 /// Fixture holding one warmed single-device server shared by the
@@ -306,6 +354,25 @@ TEST(DistRoutingTest, OversizedRequestRunsOnTheWholeFleet) {
   // Every device was busy for the distributed window.
   for (const auto& ds : out.device_stats)
     EXPECT_GT(ds.busy_seconds, 0.0);
+}
+
+TEST(DistRoutingTest, OversizedRequestWithoutDeadlineCompletes) {
+  // A deadline <= 0 means "no deadline" on the fleet-barrier path too:
+  // dispatched after t = 0, the request must still run, not be rejected.
+  GemmServer server({DeviceId::Tahiti, DeviceId::SandyBridge},
+                    ServeOptions{});
+  server.warmup();
+  GemmRequest big;
+  big.id = 0;
+  big.type = GemmType::NN;
+  big.prec = Precision::SP;
+  big.M = big.N = big.K = 4096;
+  big.arrival_seconds = 1e-3;
+  big.deadline_seconds = 0;
+  const ServeOutcome out = server.run({big}, 16, 64);
+  EXPECT_EQ(out.responses[0].status, RequestStatus::Completed)
+      << serve::to_string(out.responses[0].status);
+  EXPECT_EQ(out.responses[0].device_index, -1);
 }
 
 TEST(DistRoutingTest, ThresholdZeroDisablesTheDistributedPath) {

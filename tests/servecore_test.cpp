@@ -1,10 +1,9 @@
-// Concurrent serving core tests: latency histogram invariants, sharded
-// queue parity with the serial BatchScheduler, arrival-process modes of
-// the workload generator, and the serial-vs-async differential — same
-// seed must yield identical request outcomes and bit-identical GEMM
-// checksums across shard counts and thread counts, with the accounting
-// invariant (completed + shed + expired == generated) holding in every
-// mode including realtime.
+// Concurrent serving core tests: latency histogram invariants,
+// arrival-process modes of the workload generator, and the
+// serial-vs-async differential — same seed must yield identical request
+// outcomes and bit-identical GEMM checksums across shard counts and
+// thread counts, with the accounting invariant (completed + shed + expired
+// == generated) holding in every mode including realtime.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,8 +15,6 @@
 #include "common/histogram.hpp"
 #include "serve/core/async_server.hpp"
 #include "serve/core/differential.hpp"
-#include "serve/core/sharded_queue.hpp"
-#include "serve/scheduler.hpp"
 #include "serve/server.hpp"
 #include "serve/workload.hpp"
 
@@ -29,7 +26,6 @@ using serve::Arrival;
 using serve::AsyncOptions;
 using serve::AsyncOutcome;
 using serve::AsyncServer;
-using serve::BatchScheduler;
 using serve::DiffReport;
 using serve::GemmRequest;
 using serve::GemmServer;
@@ -37,7 +33,6 @@ using serve::RequestStatus;
 using serve::ServeOptions;
 using serve::ServeOutcome;
 using serve::ShapeClass;
-using serve::ShardedQueue;
 using serve::WorkloadSpec;
 using simcl::DeviceId;
 
@@ -127,78 +122,6 @@ TEST(ShapeClassTest, ToStringAndHash) {
             serve::shape_class_hash(ShapeClass::of(r)));
   EXPECT_NE(serve::shape_class_hash(ShapeClass::of(r)),
             serve::shape_class_hash(ShapeClass::of(other)));
-}
-
-// --- Sharded queue parity ----------------------------------------------
-
-std::vector<GemmRequest> mixed_requests(int n) {
-  std::vector<GemmRequest> reqs;
-  for (int i = 0; i < n; ++i) {
-    GemmRequest r = small_request(i, /*arrival=*/i * 1e-6);
-    r.M = r.N = r.K = 16 * (1 + i % 5);  // five shape classes
-    r.prec = i % 2 ? Precision::DP : Precision::SP;
-    r.priority = i % 3;
-    reqs.push_back(r);
-  }
-  return reqs;
-}
-
-TEST(ShardedQueueTest, AdmissionIsShardCountInvariant) {
-  // The depth bound is global: which requests get shed by backpressure
-  // must not depend on how many lock shards the queue uses.
-  const auto reqs = mixed_requests(40);
-  std::vector<bool> baseline;
-  for (int shards : {1, 3, 8}) {
-    ShardedQueue q(shards, /*max_batch=*/8, /*queue_capacity=*/16);
-    std::vector<bool> admitted;
-    for (const auto& r : reqs) admitted.push_back(q.admit(r));
-    EXPECT_EQ(q.depth(), 16u);
-    EXPECT_EQ(q.peak_depth(), 16u);
-    if (baseline.empty())
-      baseline = admitted;
-    else
-      EXPECT_EQ(admitted, baseline) << "shards=" << shards;
-  }
-}
-
-TEST(ShardedQueueTest, GroupViewsMatchSerialSchedulerOrder) {
-  const auto reqs = mixed_requests(30);
-  BatchScheduler sched(/*max_batch=*/8, /*queue_capacity=*/64);
-  for (const auto& r : reqs) ASSERT_TRUE(sched.admit(r));
-  std::vector<GemmRequest> serial_expired, sharded_expired;
-  const auto serial_views = sched.group_views(1.0, serial_expired);
-  for (int shards : {1, 4, 7}) {
-    ShardedQueue q(shards, 8, 64);
-    for (const auto& r : reqs) ASSERT_TRUE(q.admit(r));
-    sharded_expired.clear();
-    const auto views = q.group_views(1.0, sharded_expired);
-    ASSERT_EQ(views.size(), serial_views.size()) << "shards=" << shards;
-    for (std::size_t i = 0; i < views.size(); ++i) {
-      EXPECT_EQ(views[i].head.id, serial_views[i].head.id);
-      EXPECT_EQ(views[i].shape, serial_views[i].shape);
-      EXPECT_EQ(views[i].size, serial_views[i].size);
-    }
-    EXPECT_TRUE(sharded_expired.empty());
-  }
-}
-
-TEST(ShardedQueueTest, PopSkimsExpiredLikeSerialScheduler) {
-  ShardedQueue q(4, /*max_batch=*/16, /*queue_capacity=*/64);
-  ASSERT_TRUE(q.admit(small_request(0, 0.0, /*deadline=*/0.5)));
-  ASSERT_TRUE(q.admit(small_request(1, 0.0, /*deadline=*/5.0)));
-  ASSERT_TRUE(q.admit(small_request(2, 0.0, /*deadline=*/0.5)));
-  std::vector<GemmRequest> expired;
-  const auto batch = q.pop_from(ShapeClass::of(small_request(0)),
-                                /*clock=*/1.0, 16, expired);
-  ASSERT_TRUE(batch.has_value());
-  ASSERT_EQ(batch->requests.size(), 1u);
-  EXPECT_EQ(batch->requests[0].id, 1);
-  ASSERT_EQ(expired.size(), 2u);
-  EXPECT_EQ(expired[0].id, 0);
-  EXPECT_EQ(expired[1].id, 2);
-  EXPECT_TRUE(q.empty());
-  // Popped and expired slots are released back to the global bound.
-  EXPECT_EQ(q.depth(), 0u);
 }
 
 // --- Arrival processes -------------------------------------------------

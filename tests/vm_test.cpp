@@ -420,98 +420,6 @@ TEST(VmErrors, DeadMalformedCodeDoesNotThrow) {
   EXPECT_EQ(tree.counters, byte.counters);
 }
 
-// ---- dispatch strategies ---------------------------------------------------
-
-struct DispatchGuard {
-  ~DispatchGuard() {
-    unsetenv("GEMMTUNE_VM_DISPATCH");
-    set_vm_dispatch_override(VmDispatch::Auto);
-  }
-};
-
-TEST(VmDispatchMode, ThreadedAndSwitchAgree) {
-  // The two executors share one instruction set and must be externally
-  // indistinguishable: identical buffers and counters on success,
-  // identical messages on a fault. (On builds without computed-goto
-  // support the threaded run silently resolves to switch and the
-  // comparison is trivially true — the test stays valid either way.)
-  DispatchGuard guard;
-  unsetenv("GEMMTUNE_VM_DISPATCH");
-  for (const Scalar s : {Scalar::F64, Scalar::F32}) {
-    const Kernel k = stress_kernel(s);
-    const auto make = stress_args(s, 8, 3);
-    set_vm_dispatch_override(VmDispatch::Switch);
-    const RunResult sw = run_one(k, {8, 1}, {4, 1}, make,
-                                 Backend::Bytecode, 1);
-    set_vm_dispatch_override(VmDispatch::Threaded);
-    const RunResult th = run_one(k, {8, 1}, {4, 1}, make,
-                                 Backend::Bytecode, 1);
-    ASSERT_FALSE(sw.threw) << sw.message;
-    ASSERT_FALSE(th.threw) << th.message;
-    EXPECT_EQ(sw.bytes, th.bytes) << k.name;
-    EXPECT_EQ(sw.counters, th.counters) << k.name;
-  }
-  // Fault parity: a uniform division by zero must raise the same message
-  // from both executors.
-  KernelBuilder b = one_item_builder("dispdiv0");
-  const int q = b.decl_var("q", i32());
-  b.append(assign(q, bin(BinOp::Div, iconst(4), arg_ref(1, i32()))));
-  b.append(store_global(0, b.ref(q), fconst(1.0, fp(Scalar::F64, 1))));
-  const Kernel bad = b.build();
-  set_vm_dispatch_override(VmDispatch::Switch);
-  const RunResult esw = run_one(bad, {1, 1}, {1, 1}, one_out(64),
-                                Backend::Bytecode, 1);
-  set_vm_dispatch_override(VmDispatch::Threaded);
-  const RunResult eth = run_one(bad, {1, 1}, {1, 1}, one_out(64),
-                                Backend::Bytecode, 1);
-  EXPECT_TRUE(esw.threw);
-  EXPECT_TRUE(eth.threw);
-  EXPECT_EQ(esw.message, eth.message);
-}
-
-TEST(VmDispatchMode, ResolutionPrecedence) {
-  DispatchGuard guard;
-  unsetenv("GEMMTUNE_VM_DISPATCH");
-  set_vm_dispatch_override(VmDispatch::Auto);
-  // Default: threaded wherever the build carries the computed-goto
-  // executor, switch elsewhere.
-  const VmDispatch def = vm_threaded_dispatch_supported()
-                             ? VmDispatch::Threaded
-                             : VmDispatch::Switch;
-  EXPECT_EQ(resolve_vm_dispatch(), def);
-  EXPECT_EQ(resolve_vm_dispatch(VmDispatch::Switch), VmDispatch::Switch);
-  // An unsupported explicit Threaded downgrades rather than failing.
-  EXPECT_EQ(resolve_vm_dispatch(VmDispatch::Threaded), def);
-
-  setenv("GEMMTUNE_VM_DISPATCH", "switch", 1);
-  EXPECT_EQ(resolve_vm_dispatch(), VmDispatch::Switch);
-  setenv("GEMMTUNE_VM_DISPATCH", "threaded", 1);
-  EXPECT_EQ(resolve_vm_dispatch(), def);
-
-  // The process-wide override (the --vm-dispatch flag) beats the
-  // environment...
-  setenv("GEMMTUNE_VM_DISPATCH", "threaded", 1);
-  set_vm_dispatch_override(VmDispatch::Switch);
-  EXPECT_EQ(resolve_vm_dispatch(), VmDispatch::Switch);
-  // ...and an explicit request beats both.
-  setenv("GEMMTUNE_VM_DISPATCH", "switch", 1);
-  set_vm_dispatch_override(VmDispatch::Switch);
-  EXPECT_EQ(resolve_vm_dispatch(VmDispatch::Threaded), def);
-
-  setenv("GEMMTUNE_VM_DISPATCH", "nonsense", 1);
-  set_vm_dispatch_override(VmDispatch::Auto);
-  try {
-    resolve_vm_dispatch();
-    FAIL() << "expected Error";
-  } catch (const Error& e) {
-    EXPECT_EQ(strip_loc(e.what()),
-              "GEMMTUNE_VM_DISPATCH: unknown value 'nonsense' "
-              "(use switch, threaded)");
-  }
-  // An explicit mode never consults the (invalid) environment.
-  EXPECT_EQ(resolve_vm_dispatch(VmDispatch::Switch), VmDispatch::Switch);
-}
-
 // ---- backend resolution and the compiled cache -----------------------------
 
 struct EnvGuard {
