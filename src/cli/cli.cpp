@@ -133,6 +133,19 @@ std::optional<std::string> flag_value(const std::vector<std::string>& args,
   return std::nullopt;
 }
 
+/// Parses a count >= 1 strictly: garbage, trailing junk, zero and
+/// negatives throw naming `what`.
+int parse_count(const std::string& what, const std::string& text) {
+  try {
+    std::size_t used = 0;
+    const int v = std::stoi(text, &used);
+    check(used == text.size() && v >= 1, "");
+    return v;
+  } catch (const std::exception&) {
+    fail(what + " expects an integer >= 1, got '" + text + "'");
+  }
+}
+
 /// Parses "MxNxK" (e.g. "2048x64x2048") for `tune --shape`.
 tuner::ShapeClass parse_shape_class(const std::string& text, Precision prec) {
   index_t dims[3] = {0, 0, 0};
@@ -184,7 +197,8 @@ int cmd_tune(const std::vector<std::string>& args, std::ostream& out) {
   const auto id = simcl::device_by_name(pos[0]);
   const Precision prec = parse_precision(pos[1]);
   tuner::SearchOptions opt;
-  if (pos.size() >= 3) opt.enumeration.max_candidates = std::stoi(pos[2]);
+  if (pos.size() >= 3)
+    opt.enumeration.max_candidates = parse_count("tune: budget", pos[2]);
   if (!shape_text.empty()) opt.shape = parse_shape_class(shape_text, prec);
   const tuner::strategy::StrategySpec spec =
       strategy_text.empty()
@@ -473,13 +487,7 @@ bool core_flag(const std::vector<std::string>& args, std::size_t& i,
     return true;
   }
   if (auto v = flag_value(args, i, "--shards")) {
-    try {
-      std::size_t used = 0;
-      copt.shards = std::stoi(*v, &used);
-      check(used == v->size() && copt.shards >= 1, "");
-    } catch (const std::exception&) {
-      fail("--shards expects an integer >= 1, got '" + *v + "'");
-    }
+    copt.shards = parse_count("--shards", *v);
     return true;
   }
   if (auto v = flag_value(args, i, "--slo-ms")) {
@@ -503,13 +511,7 @@ bool core_flag(const std::vector<std::string>& args, std::size_t& i,
     return true;
   }
   if (auto v = flag_value(args, i, "--tune-candidates")) {
-    try {
-      std::size_t used = 0;
-      copt.tune_candidates = std::stoi(*v, &used);
-      check(used == v->size() && copt.tune_candidates >= 1, "");
-    } catch (const std::exception&) {
-      fail("--tune-candidates expects an integer >= 1, got '" + *v + "'");
-    }
+    copt.tune_candidates = parse_count("--tune-candidates", *v);
     return true;
   }
   return false;

@@ -1,9 +1,10 @@
 #include "tuner/candidates.hpp"
 
 #include <algorithm>
-#include <iterator>
 #include <optional>
+#include <string>
 
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 
@@ -13,49 +14,38 @@ using codegen::Algorithm;
 using codegen::KernelParams;
 using codegen::Precision;
 
-namespace {
-
-// Discretized parameter values. Since the improved generator the paper
-// describes, blocking factors are no longer restricted to powers of two
-// (Section III-F), so multiples of 8/16/24 appear throughout.
-constexpr int kMwg[] = {16, 32, 48, 64, 96, 128};
-constexpr int kNwg[] = {16, 32, 48, 64, 96, 128};
-constexpr int kKwg[] = {8, 16, 32, 48, 64, 96, 192};
-constexpr int kDim[] = {4, 8, 16, 24, 32};
-constexpr int kKwi[] = {1, 2, 4, 8, 16, 24};
-constexpr int kVw[] = {1, 2, 4, 8};
-
-}  // namespace
-
-GridAxes grid_axes(bool include_row_major) {
+GridAxes grid_axes() {
+  // Discretized parameter values. Since the improved generator the paper
+  // describes, blocking factors are no longer restricted to powers of two
+  // (Section III-F), so multiples of 8/16/24 appear throughout.
   GridAxes g;
-  g.Mwg.assign(std::begin(kMwg), std::end(kMwg));
-  g.Nwg.assign(std::begin(kNwg), std::end(kNwg));
-  g.Kwg.assign(std::begin(kKwg), std::end(kKwg));
-  g.dim.assign(std::begin(kDim), std::end(kDim));
-  g.Kwi.assign(std::begin(kKwi), std::end(kKwi));
-  g.vw.assign(std::begin(kVw), std::end(kVw));
+  g.Mwg = {16, 32, 48, 64, 96, 128};
+  g.Nwg = {16, 32, 48, 64, 96, 128};
+  g.Kwg = {8, 16, 32, 48, 64, 96, 192};
+  g.dim = {4, 8, 16, 24, 32};
+  g.Kwi = {1, 2, 4, 8, 16, 24};
+  g.vw = {1, 2, 4, 8};
   g.layouts = {BlockLayout::CBL, BlockLayout::RBL};
-  if (include_row_major) g.layouts.push_back(BlockLayout::RowMajor);
   return g;
 }
 
 std::vector<KernelParams> enumerate_candidates(simcl::DeviceId id,
                                                Precision prec,
                                                const EnumOptions& opt,
-                                               EnumStats* stats) {
+                                               EnumStats* stats, int threads) {
+  check(opt.max_candidates >= 1,
+        "enumerate_candidates: max_candidates must be >= 1, got " +
+            std::to_string(opt.max_candidates));
   const simcl::DeviceSpec& dev = simcl::device_spec(id);
   EnumStats st;
-
-  std::vector<BlockLayout> layouts = {BlockLayout::CBL, BlockLayout::RBL};
-  if (opt.include_row_major) layouts.push_back(BlockLayout::RowMajor);
+  const GridAxes axes = grid_axes();
 
   // The expensive part — walking the cross product and validating every
   // combination — fans out over (Mwg, Nwg) chunks. Chunk index order
   // equals the serial nested-loop walk order, so concatenating the chunk
   // outputs reproduces the serial visit sequence exactly.
-  constexpr int nM = static_cast<int>(std::size(kMwg));
-  constexpr int nN = static_cast<int>(std::size(kNwg));
+  const auto nM = static_cast<std::int64_t>(axes.Mwg.size());
+  const auto nN = static_cast<std::int64_t>(axes.Nwg.size());
   struct ChunkOut {
     std::vector<KernelParams> valid;
     std::int64_t raw = 0, invalid = 0;
@@ -63,12 +53,12 @@ std::vector<KernelParams> enumerate_candidates(simcl::DeviceId id,
   std::vector<ChunkOut> chunks(static_cast<std::size_t>(nM * nN));
   auto enumerate_chunk = [&](std::int64_t ci) {
     ChunkOut& co = chunks[static_cast<std::size_t>(ci)];
-    const int Mwg = kMwg[ci / nN];
-    const int Nwg = kNwg[ci % nN];
-      for (int Kwg : kKwg) {
-        for (int MdimC : kDim) {
+    const int Mwg = axes.Mwg[static_cast<std::size_t>(ci / nN)];
+    const int Nwg = axes.Nwg[static_cast<std::size_t>(ci % nN)];
+      for (int Kwg : axes.Kwg) {
+        for (int MdimC : axes.dim) {
           if (Mwg % MdimC != 0) continue;
-          for (int NdimC : kDim) {
+          for (int NdimC : axes.dim) {
             if (Nwg % NdimC != 0) continue;
             const int wg = MdimC * NdimC;
             if (wg > dev.max_workgroup_size || wg < 16) continue;
@@ -79,9 +69,9 @@ std::vector<KernelParams> enumerate_candidates(simcl::DeviceId id,
             const int Mwi = Mwg / MdimC;
             const int Nwi = Nwg / NdimC;
             if (Mwi > 8 || Nwi > 12) continue;
-            for (int Kwi : kKwi) {
+            for (int Kwi : axes.Kwi) {
               if (Kwg % Kwi != 0) continue;
-              for (int vw : kVw) {
+              for (int vw : axes.vw) {
                 if (Mwi % vw != 0 || Nwi % vw != 0) continue;
                 for (int share = 0; share < 4; ++share) {
                   for (Algorithm algo :
@@ -93,8 +83,8 @@ std::vector<KernelParams> enumerate_candidates(simcl::DeviceId id,
                       for (int NdimB :
                            {NdimC, wg >= 2 * NdimC ? 2 * NdimC : NdimC}) {
                         for (int stride = 0; stride < 4; ++stride) {
-                          for (BlockLayout la : layouts) {
-                            for (BlockLayout lb : layouts) {
+                          for (BlockLayout la : axes.layouts) {
+                            for (BlockLayout lb : axes.layouts) {
                               ++co.raw;
                               KernelParams p;
                               p.prec = prec;
@@ -135,7 +125,7 @@ std::vector<KernelParams> enumerate_candidates(simcl::DeviceId id,
 
   {
     std::optional<ThreadPool> local_pool;
-    if (opt.threads > 0) local_pool.emplace(opt.threads);
+    if (threads > 0) local_pool.emplace(threads);
     ThreadPool& pool = local_pool ? *local_pool : ThreadPool::global();
     pool.parallel_for(nM * nN,
                       [&](std::int64_t begin, std::int64_t end, int) {
@@ -148,8 +138,9 @@ std::vector<KernelParams> enumerate_candidates(simcl::DeviceId id,
   // into a uniform subsample rather than a prefix-biased one. This pass is
   // cheap and runs serially in walk order, so the kept set (and the RNG
   // sequence behind it) is bit-identical to the single-threaded walk.
+  constexpr std::uint64_t kSeed = 1;
   std::vector<KernelParams> out;
-  Rng rng(opt.seed ^ 0xC0FFEEu);
+  Rng rng(kSeed ^ 0xC0FFEEu);
   auto keep = [&](const KernelParams& p) {
     ++st.kept;
     if (static_cast<int>(out.size()) < opt.max_candidates) {

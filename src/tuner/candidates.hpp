@@ -18,15 +18,7 @@ namespace gemmtune::tuner {
 
 /// Enumeration controls.
 struct EnumOptions {
-  int max_candidates = 20000;   ///< budget after validation
-  std::uint64_t seed = 1;       ///< subsampling determinism
-  bool include_row_major = false;  ///< also enumerate RM operand layouts
-
-  /// Worker threads for the validation sweep (the cross-product walk).
-  /// 0 uses the process-wide configuration. The candidate list is
-  /// bit-identical for every thread count: validation fans out, but the
-  /// reservoir subsample runs serially in walk order.
-  int threads = 0;
+  int max_candidates = 20000;  ///< budget after validation; must be >= 1
 };
 
 /// Statistics from one enumeration run (the paper reports that failed
@@ -37,18 +29,23 @@ struct EnumStats {
   std::int64_t kept = 0;              ///< returned candidates
 };
 
-/// Enumerates valid kernel parameter sets for the device/precision.
+/// Enumerates valid kernel parameter sets for the device/precision. The
+/// validation sweep (the cross-product walk) fans out over `threads`
+/// workers (0: the process-wide pool); the list is bit-identical for every
+/// thread count, because the seeded reservoir subsample runs serially in
+/// walk order. Throws gemmtune::Error when opt.max_candidates < 1.
 std::vector<codegen::KernelParams> enumerate_candidates(
     simcl::DeviceId id, codegen::Precision prec, const EnumOptions& opt,
-    EnumStats* stats = nullptr);
+    EnumStats* stats = nullptr, int threads = 0);
 
-/// The discretized value lists the enumerator walks. Guided strategies
-/// (annealing / PSO neighbor moves) step along exactly these axes so every
-/// point they can propose is a point the exhaustive walk could visit.
+/// The discretized value lists the enumerator walks (operand layouts are
+/// CBL and RBL). Guided strategies (annealing / PSO neighbor moves) step
+/// along exactly these axes so every point they can propose is a point the
+/// exhaustive walk could visit.
 struct GridAxes {
   std::vector<int> Mwg, Nwg, Kwg, dim, Kwi, vw;
   std::vector<BlockLayout> layouts;
 };
-GridAxes grid_axes(bool include_row_major);
+GridAxes grid_axes();
 
 }  // namespace gemmtune::tuner

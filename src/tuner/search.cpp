@@ -36,9 +36,6 @@ std::vector<KernelParams> SearchEngine::candidate_space(
   const std::string key =
       std::string(to_string(prec)) + "|" +
       std::to_string(opt.enumeration.max_candidates) + "|" +
-      std::to_string(opt.enumeration.seed) + "|" +
-      (opt.enumeration.include_row_major ? "rm" : "cm") + "|" +
-      (opt.seed_with_table2 ? "t2" : "-") + "|" +
       (opt.restrict_algo ? to_string(*opt.restrict_algo) : "*") + "|" +
       (opt.restrict_local ? (*opt.restrict_local ? "L" : "l") : "*");
   {
@@ -49,17 +46,14 @@ std::vector<KernelParams> SearchEngine::candidate_space(
       return it->second.first;
     }
   }
-  EnumOptions eopt = opt.enumeration;
-  if (eopt.threads == 0) eopt.threads = opt.threads;
   EnumStats est;
   std::vector<KernelParams> candidates;
   {
     trace::Span span("tuner.enumerate");
-    candidates = enumerate_candidates(id_, prec, eopt, &est);
+    candidates =
+        enumerate_candidates(id_, prec, opt.enumeration, &est, opt.threads);
   }
-  if (opt.seed_with_table2) {
-    candidates.push_back(codegen::table2_entry(id_, prec).params);
-  }
+  candidates.push_back(codegen::table2_entry(id_, prec).params);
   if (opt.restrict_algo || opt.restrict_local) {
     std::erase_if(candidates, [&](const KernelParams& p) {
       if (opt.restrict_algo && p.algo != *opt.restrict_algo) return true;
@@ -119,19 +113,163 @@ TunedKernel SearchEngine::profile_candidate(const KernelParams& p,
 
 namespace {
 
-struct Scored {
-  double gflops;
-  std::size_t index;
+/// The pool one search step runs on: its own `threads` workers, created on
+/// first use, or the process-wide pool when threads is 0. tune() shares one
+/// between ranking and selection.
+class SearchPool {
+ public:
+  explicit SearchPool(int threads) : threads_(threads) {}
+  ThreadPool& get() {
+    if (threads_ <= 0) return ThreadPool::global();
+    if (!local_) local_.emplace(threads_);
+    return *local_;
+  }
+
+ private:
+  int threads_;
+  std::optional<ThreadPool> local_;
 };
 
-/// Stage-2 measurement of one finalist.
-struct SweepResult {
-  std::vector<std::pair<std::int64_t, double>> curve;
-  double peak = 0;
-  std::int64_t peak_n = 0;
-};
+std::vector<Scored> rank_on(const SearchEngine& engine, SearchPool& search_pool,
+                            const std::vector<KernelParams>& candidates,
+                            const SearchOptions& opt, std::size_t keep,
+                            SearchStats* stats) {
+  // One measurement per candidate, fanned out over the pool. Chunks are
+  // contiguous and merged in chunk order, so the scored list is in
+  // candidate-index order for any thread count.
+  ThreadPool& pool = search_pool.get();
+  const auto workers = static_cast<std::size_t>(pool.size());
+  std::vector<std::vector<Scored>> part_scored(workers);
+  std::vector<std::int64_t> part_failed(workers, 0);
+  pool.parallel_for(
+      static_cast<std::int64_t>(candidates.size()),
+      [&](std::int64_t begin, std::int64_t end, int worker) {
+        const auto w = static_cast<std::size_t>(worker);
+        for (std::int64_t i = begin; i < end; ++i) {
+          const auto idx = static_cast<std::size_t>(i);
+          const double g = engine.measure_candidate(candidates[idx], opt);
+          if (g <= 0) {
+            ++part_failed[w];
+            continue;
+          }
+          part_scored[w].push_back({g, idx});
+        }
+      });
+  std::vector<Scored> scored;
+  std::int64_t failed = 0;
+  for (std::size_t w = 0; w < workers; ++w) {
+    failed += part_failed[w];
+    scored.insert(scored.end(), part_scored[w].begin(), part_scored[w].end());
+  }
+  // Tie-break equal scores by candidate index: partial_sort is not stable,
+  // and the rank order must not depend on how chunks interleaved.
+  keep = std::min(keep, scored.size());
+  std::partial_sort(scored.begin(),
+                    scored.begin() + static_cast<std::ptrdiff_t>(keep),
+                    scored.end(), [](const Scored& a, const Scored& b) {
+                      if (a.gflops != b.gflops) return a.gflops > b.gflops;
+                      return a.index < b.index;
+                    });
+  scored.resize(keep);
+  if (stats) {
+    stats->stage1_evaluated = static_cast<std::int64_t>(candidates.size());
+    stats->stage1_failed = failed;
+  }
+  return scored;
+}
+
+TunedKernel select_on(const SearchEngine& engine, SearchPool& search_pool,
+                      const std::vector<KernelParams>& candidates,
+                      const std::vector<Scored>& ranked,
+                      const SearchOptions& opt, SearchStats* stats) {
+  check(!ranked.empty(),
+        "search: no candidate produced a positive measurement");
+  const Scored& top = ranked.front();
+  // Input-aware search: the measurement already IS the objective (the
+  // delivered cost of this shape class), so there is no stage-2 size
+  // sweep — the top-ranked candidate is the winner.
+  if (opt.shape) return engine.profile_candidate(candidates[top.index], opt);
+
+  // Stage 2: sweep the finalists over sizes <= stage2_max_n in parallel,
+  // then reduce in rank order; pick the kernel with the highest
+  // performance at any size (ties go to the better stage-1 rank).
+  const std::size_t keep =
+      std::min<std::size_t>(kStage1Keep, ranked.size());
+  std::vector<std::vector<std::pair<std::int64_t, double>>> curves(keep);
+  search_pool.get().parallel_for(
+      static_cast<std::int64_t>(keep),
+      [&](std::int64_t begin, std::int64_t end, int) {
+        for (std::int64_t i = begin; i < end; ++i) {
+          const auto idx = static_cast<std::size_t>(i);
+          curves[idx] =
+              engine.sweep(candidates[ranked[idx].index], opt.stage2_max_n);
+        }
+      });
+  SearchStats st;
+  TunedKernel best;
+  for (std::size_t i = 0; i < keep; ++i) {
+    const KernelParams& p = candidates[ranked[i].index];
+    auto& curve = curves[i];
+    st.stage2_points += static_cast<std::int64_t>(curve.size());
+    if (curve.empty()) {
+      ++st.stage2_empty;
+      st.stage2_failed.push_back(p.summary());
+    }
+    double peak = 0;
+    std::int64_t peak_n = 0;
+    for (const auto& [n, g] : curve) {
+      if (g > peak) {
+        peak = g;
+        peak_n = n;
+      }
+    }
+    if (peak > best.best_gflops) {
+      best.params = p;
+      best.stage1_gflops = ranked[i].gflops;
+      best.best_gflops = peak;
+      best.best_n = peak_n;
+      best.curve = std::move(curve);
+    }
+  }
+  if (best.best_gflops <= 0) {
+    // Every finalist's sweep came back empty (e.g. stage2_max_n below the
+    // smallest blocking LCM). Fall back to the stage-1 measurement of the
+    // top-ranked finalist rather than failing the whole search.
+    st.used_stage1_fallback = true;
+    best.params = candidates[top.index];
+    best.stage1_gflops = top.gflops;
+    best.best_gflops = top.gflops;
+    best.best_n = engine.model().stage1_size(best.params);
+    best.curve = {{best.best_n, top.gflops}};
+  }
+  if (stats) {
+    stats->stage2_points = st.stage2_points;
+    stats->stage2_empty = st.stage2_empty;
+    stats->stage2_failed = std::move(st.stage2_failed);
+    stats->used_stage1_fallback = st.used_stage1_fallback;
+  }
+  check(best.best_gflops > 0,
+        "search: neither stage 2 nor the stage-1 fallback produced a "
+        "positive measurement");
+  return best;
+}
 
 }  // namespace
+
+std::vector<Scored> SearchEngine::rank(
+    const std::vector<KernelParams>& candidates, const SearchOptions& opt,
+    std::size_t keep, SearchStats* stats) const {
+  SearchPool pool(opt.threads);
+  return rank_on(*this, pool, candidates, opt, keep, stats);
+}
+
+TunedKernel SearchEngine::select(const std::vector<KernelParams>& candidates,
+                                 const std::vector<Scored>& ranked,
+                                 const SearchOptions& opt,
+                                 SearchStats* stats) const {
+  SearchPool pool(opt.threads);
+  return select_on(*this, pool, candidates, ranked, opt, stats);
+}
 
 TunedKernel SearchEngine::tune(Precision prec, const SearchOptions& opt,
                                SearchStats* stats) const {
@@ -141,119 +279,17 @@ TunedKernel SearchEngine::tune(Precision prec, const SearchOptions& opt,
       candidate_space(prec, opt, &st.enumeration);
   check(!candidates.empty(), "tune: no valid candidates for device");
 
-  // An explicit per-call thread count gets its own pool; otherwise share
-  // the process-wide one.
-  std::optional<ThreadPool> local_pool;
-  if (opt.threads > 0) local_pool.emplace(opt.threads);
-  ThreadPool& pool = local_pool ? *local_pool : ThreadPool::global();
-  const auto workers = static_cast<std::size_t>(pool.size());
-
-  // Stage 1: single measurement of every candidate — the stage-1 square
-  // size, or the shape class's delivered cost when opt.shape is set —
-  // fanned out over the pool. Chunks are contiguous and merged in chunk
-  // order, so the scored list is in candidate-index order for any thread
-  // count.
-  std::vector<Scored> scored;
-  std::size_t keep = 0;
+  SearchPool pool(opt.threads);
+  std::vector<Scored> finalists;
   {
     trace::Span stage1_span("tuner.stage1");
-    std::vector<std::vector<Scored>> part_scored(workers);
-    std::vector<std::int64_t> part_evaluated(workers, 0),
-        part_failed(workers, 0);
-    pool.parallel_for(
-        static_cast<std::int64_t>(candidates.size()),
-        [&](std::int64_t begin, std::int64_t end, int worker) {
-          auto& scored = part_scored[static_cast<std::size_t>(worker)];
-          for (std::int64_t i = begin; i < end; ++i) {
-            const KernelParams& p = candidates[static_cast<std::size_t>(i)];
-            const double g = measure_candidate(p, opt);
-            ++part_evaluated[static_cast<std::size_t>(worker)];
-            if (g <= 0) {
-              ++part_failed[static_cast<std::size_t>(worker)];
-              continue;
-            }
-            scored.push_back({g, static_cast<std::size_t>(i)});
-          }
-        });
-    for (std::size_t w = 0; w < workers; ++w) {
-      st.stage1_evaluated += part_evaluated[w];
-      st.stage1_failed += part_failed[w];
-      scored.insert(scored.end(), part_scored[w].begin(),
-                    part_scored[w].end());
-    }
-    check(!scored.empty(), "tune: every candidate failed stage 1");
-    keep = std::min<std::size_t>(static_cast<std::size_t>(opt.stage1_keep),
-                                 scored.size());
-    // Tie-break equal scores by candidate index: partial_sort is not
-    // stable, and the finalist order must not depend on how chunks
-    // interleaved.
-    std::partial_sort(scored.begin(),
-                      scored.begin() + static_cast<std::ptrdiff_t>(keep),
-                      scored.end(), [](const Scored& a, const Scored& b) {
-                        if (a.gflops != b.gflops) return a.gflops > b.gflops;
-                        return a.index < b.index;
-                      });
-    scored.resize(keep);
+    finalists = rank_on(*this, pool, candidates, opt, kStage1Keep, &st);
   }
-
   TunedKernel best;
-  if (opt.shape) {
-    // Input-aware search: the measurement already IS the objective (the
-    // delivered cost of this shape class), so there is no stage-2 size
-    // sweep — the top-ranked candidate is the winner.
-    const Scored& top = scored.front();
-    best = profile_candidate(candidates[top.index], opt);
-  } else {
-    // Stage 2: sweep the finalists over sizes <= stage2_max_n in parallel,
-    // then reduce in stage-1 rank order; pick the kernel with the highest
-    // performance at any size (ties go to the better stage-1 rank).
-    trace::Span stage2_span("tuner.stage2");
-    std::vector<SweepResult> sweeps(keep);
-    pool.parallel_for(static_cast<std::int64_t>(keep),
-                      [&](std::int64_t begin, std::int64_t end, int) {
-                        for (std::int64_t i = begin; i < end; ++i) {
-                          SweepResult& r =
-                              sweeps[static_cast<std::size_t>(i)];
-                          r.curve = sweep(
-                              candidates[scored[static_cast<std::size_t>(i)]
-                                             .index],
-                              opt.stage2_max_n);
-                          for (const auto& [n, g] : r.curve) {
-                            if (g > r.peak) {
-                              r.peak = g;
-                              r.peak_n = n;
-                            }
-                          }
-                        }
-                      });
-    for (std::size_t i = 0; i < keep; ++i) {
-      const Scored& s = scored[i];
-      SweepResult& r = sweeps[i];
-      st.stage2_points += static_cast<std::int64_t>(r.curve.size());
-      if (r.curve.empty()) {
-        ++st.stage2_empty;
-        st.stage2_failed.push_back(candidates[s.index].summary());
-      }
-      if (r.peak > best.best_gflops) {
-        best.params = candidates[s.index];
-        best.stage1_gflops = s.gflops;
-        best.best_gflops = r.peak;
-        best.best_n = r.peak_n;
-        best.curve = std::move(r.curve);
-      }
-    }
-    if (best.best_gflops <= 0) {
-      // Every finalist's sweep came back empty (e.g. stage2_max_n below
-      // the smallest blocking LCM). Fall back to the stage-1 measurement
-      // of the top-ranked finalist rather than failing the whole search.
-      st.used_stage1_fallback = true;
-      const Scored& top = scored.front();
-      best.params = candidates[top.index];
-      best.stage1_gflops = top.gflops;
-      best.best_gflops = top.gflops;
-      best.best_n = model_.stage1_size(best.params);
-      best.curve = {{best.best_n, top.gflops}};
-    }
+  {
+    std::optional<trace::Span> stage2_span;
+    if (!opt.shape) stage2_span.emplace("tuner.stage2");
+    best = select_on(*this, pool, candidates, finalists, opt, &st);
   }
   if (trace::enabled()) {
     trace::counter_add("tuner.candidates", candidates.size());
@@ -270,9 +306,6 @@ TunedKernel SearchEngine::tune(Precision prec, const SearchOptions& opt,
     trace::gauge_set("tuner.best_gflops", best.best_gflops);
   }
   if (stats) *stats = std::move(st);
-  check(best.best_gflops > 0,
-        "tune: neither stage 2 nor the stage-1 fallback produced a positive "
-        "measurement");
   return best;
 }
 

@@ -3,15 +3,21 @@
 // The procedure for selecting the best kernel follows the paper:
 //  1. Measure every candidate at one problem size: the largest multiple of
 //     LCM(Mwg, Nwg, Kwg) not exceeding 4096 on GPUs / 1536 on CPUs.
-//  2. Re-measure the fastest `stage1_keep` (default 50) kernels over all
+//  2. Re-measure the fastest kStage1Keep (the paper's 50) kernels over all
 //     sizes N in multiples of their LCM with N <= 8192.
 //  3. Select the kernel with the highest observed performance.
+//
+// SearchEngine is the one place that scores candidates and picks a winner:
+// rank() is step 1 and select() is steps 2-3. tune() runs both over the
+// whole candidate space; the guided strategies (tuner/strategy) differ
+// only in which candidates they hand to them.
 //
 // "Measurement" is the analytic performance model; on real hardware the
 // same driver code would time real launches (the paper reports >5 hours
 // per GEMM type — under the model the search takes seconds).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -28,16 +34,17 @@
 
 namespace gemmtune::tuner {
 
+/// Stage-1 finalists swept in stage 2 (paper: the fastest 50 kernels).
+inline constexpr int kStage1Keep = 50;
+
 /// Search controls.
 struct SearchOptions {
   EnumOptions enumeration;
-  int stage1_keep = 50;           ///< paper: the fastest 50 kernels
   std::int64_t stage2_max_n = 8192;  ///< paper: N <= 8192
-  bool seed_with_table2 = true;   ///< include the paper's kernels as seeds
 
-  /// Worker threads for stage-1 scoring and stage-2 sweeps. 0 uses the
-  /// process-wide configuration (--threads / GEMMTUNE_THREADS / hardware).
-  /// The tuned result is bit-identical for every thread count.
+  /// Worker threads for enumeration, stage-1 ranking and stage-2 sweeps. 0
+  /// uses the process-wide configuration (--threads / GEMMTUNE_THREADS /
+  /// hardware). The tuned result is bit-identical for every thread count.
   int threads = 0;
 
   /// Constrained searches for the ablation studies (Fig. 8 and the
@@ -70,6 +77,13 @@ struct SearchStats {
   bool used_stage1_fallback = false;
 };
 
+/// One candidate's measurement and its index in the list it was ranked
+/// from.
+struct Scored {
+  double gflops = 0;
+  std::size_t index = 0;
+};
+
 /// The selected kernel and its measured profile.
 struct TunedKernel {
   codegen::KernelParams params;
@@ -85,18 +99,38 @@ struct TunedKernel {
 
 /// Search engine bound to one device.
 ///
-/// tune() fans stage-1 scoring and stage-2 sweeps out over a thread pool
-/// (SearchOptions::threads). Candidates are statically chunked, per-thread
-/// statistics are merged in chunk order, and ties are broken by (GFlop/s,
-/// then candidate index), so the returned TunedKernel — params, curve and
-/// all measured numbers — is bit-identical for every thread count.
+/// rank() and select() fan out over a thread pool (SearchOptions::threads).
+/// Candidates are statically chunked, per-thread results are merged in
+/// chunk order, and ties are broken by (GFlop/s, then candidate index), so
+/// the returned TunedKernel — params, curve and all measured numbers — is
+/// bit-identical for every thread count.
 class SearchEngine {
  public:
   explicit SearchEngine(simcl::DeviceId id);
 
-  /// Runs the full two-stage search.
+  /// Runs the full two-stage search: select(space, rank(space)).
   TunedKernel tune(codegen::Precision prec, const SearchOptions& opt = {},
                    SearchStats* stats = nullptr) const;
+
+  /// Ranking step (stage 1): measures every candidate once with
+  /// measure_candidate, drops the ones the model rejects, and returns the
+  /// best `keep` in rank order — GFlop/s descending, then index ascending.
+  /// Sets stats->stage1_evaluated and stage1_failed when given.
+  std::vector<Scored> rank(const std::vector<codegen::KernelParams>& candidates,
+                           const SearchOptions& opt, std::size_t keep,
+                           SearchStats* stats = nullptr) const;
+
+  /// Selection step (stages 2-3) over `ranked`: entries indexing into
+  /// `candidates`, in rank order; throws when empty. Sweeps the first
+  /// kStage1Keep over sizes <= opt.stage2_max_n, keeps the highest peak
+  /// (ties go to the better rank), and falls back to the top stage-1
+  /// measurement when every sweep is empty. In shape mode (opt.shape) the measurement
+  /// already is the objective, so the top-ranked candidate wins outright.
+  /// Sets the stage-2 fields of stats when given.
+  TunedKernel select(const std::vector<codegen::KernelParams>& candidates,
+                     const std::vector<Scored>& ranked,
+                     const SearchOptions& opt,
+                     SearchStats* stats = nullptr) const;
 
   /// Stage-2 sweep for one kernel: performance at every multiple of the
   /// blocking LCM up to max_n.
@@ -104,11 +138,11 @@ class SearchEngine {
       const codegen::KernelParams& p, std::int64_t max_n) const;
 
   /// The candidate space the search runs over: enumeration, the Table II
-  /// seed (appended last when seed_with_table2), and the restriction
-  /// filters. Every strategy — exhaustive or guided — draws from exactly
-  /// this list, in exactly this order. The space is memoized per option
-  /// set (opt.shape does not change it), so a server tuning many shape
-  /// classes pays the cross-product walk once per device.
+  /// seed (appended last), and the restriction filters. Every strategy —
+  /// exhaustive or guided — draws from exactly this list, in exactly this
+  /// order. The space is memoized per option set (opt.shape does not
+  /// change it), so a server tuning many shape classes pays the
+  /// cross-product walk once per device.
   std::vector<codegen::KernelParams> candidate_space(
       codegen::Precision prec, const SearchOptions& opt,
       EnumStats* stats = nullptr) const;

@@ -1,12 +1,11 @@
-// Shared machinery of the guided strategies: the measured-candidate record
-// with its deterministic ordering, the common finalist-sweep winner
-// selection, and the parameter grid the stochastic strategies move on.
-// Internal to gemmtune_strategy.
+// The guided strategies and their shared machinery: the measured-candidate
+// record with its deterministic ordering, the hand-off of a measured set to
+// SearchEngine::select, and the parameter grid the stochastic strategies
+// move on. Internal to gemmtune_strategy.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -16,12 +15,18 @@
 
 namespace gemmtune::tuner::strategy::detail {
 
-/// Per-implementation factories (one per translation unit); make_strategy
-/// dispatches over these.
-std::unique_ptr<SearchStrategy> make_exhaustive();
-std::unique_ptr<SearchStrategy> make_model_topk();
-std::unique_ptr<SearchStrategy> make_anneal();
-std::unique_ptr<SearchStrategy> make_pso();
+/// The guided strategies, one per translation unit; run_strategy switches
+/// over these (exhaustive is SearchEngine::tune itself). Each records its
+/// counters in `st`; run_strategy sets kind and fraction_measured.
+TunedKernel model_topk(const SearchEngine& engine, codegen::Precision prec,
+                       const SearchOptions& opt, const StrategySpec& spec,
+                       StrategyStats& st);
+TunedKernel anneal(const SearchEngine& engine, codegen::Precision prec,
+                   const SearchOptions& opt, const StrategySpec& spec,
+                   StrategyStats& st);
+TunedKernel pso(const SearchEngine& engine, codegen::Precision prec,
+                const SearchOptions& opt, const StrategySpec& spec,
+                StrategyStats& st);
 
 /// splitmix64-style stream split: derives an independent per-chain /
 /// per-particle seed from the user seed, so parallel chains never share an
@@ -50,16 +55,13 @@ inline bool better(const Measured& a, const Measured& b) {
   return a.key < b.key;
 }
 
-/// Selects the winner from a strategy's measured set exactly the way
-/// SearchEngine::tune selects from its stage-1 scores: sort, dedupe, sweep
-/// the top stage1_keep finalists over sizes <= stage2_max_n, reduce in
-/// rank order (strict >), stage-1 fallback when every sweep is empty. In
-/// shape mode (opt.shape) the measurement already is the objective, so the
-/// top-ranked candidate wins outright.
-TunedKernel select_winner(const SearchEngine& engine,
-                          const SearchOptions& opt,
-                          std::vector<Measured> measured,
-                          SearchStats* stats);
+/// Orders a strategy's measured set by better(), drops adjacent records of
+/// the same kernel, and hands the result to SearchEngine::select — the
+/// selection SearchEngine::tune makes from its stage-1 ranking.
+TunedKernel select_measured(const SearchEngine& engine,
+                            const SearchOptions& opt,
+                            std::vector<Measured> measured,
+                            SearchStats* stats);
 
 /// The 14-axis discretized parameter grid (the enumerator's value lists
 /// plus its selector dimensions). decode() applies the enumerator's

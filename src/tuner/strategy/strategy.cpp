@@ -1,12 +1,14 @@
 #include "tuner/strategy/strategy.hpp"
 
 #include <algorithm>
+#include <iterator>
+#include <limits>
 #include <optional>
+#include <string>
 
 #include "common/error.hpp"
 #include "common/keyval.hpp"
 #include "common/strings.hpp"
-#include "common/thread_pool.hpp"
 #include "tuner/strategy/detail.hpp"
 
 namespace gemmtune::tuner::strategy {
@@ -15,6 +17,8 @@ using codegen::KernelParams;
 using codegen::Precision;
 
 namespace {
+
+constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
 
 std::int64_t parse_spec_int(const std::string& key,
                             const std::string& value) {
@@ -65,11 +69,17 @@ StrategySpec parse_strategy_spec(const std::string& text) {
     } else if (key == "seed") {
       spec.seed = static_cast<std::uint64_t>(parse_spec_int(key, value));
     } else if (key == "restarts" && spec.kind == StrategyKind::Anneal) {
-      spec.restarts = static_cast<int>(parse_spec_int(key, value));
-      check(spec.restarts > 0, "--strategy: restarts must be positive");
+      const std::int64_t v = parse_spec_int(key, value);
+      check(v > 0 && v <= kIntMax,
+            "--strategy: restarts must be in [1, " + std::to_string(kIntMax) +
+                "], got '" + value + "'");
+      spec.restarts = static_cast<int>(v);
     } else if (key == "particles" && spec.kind == StrategyKind::Pso) {
-      spec.particles = static_cast<int>(parse_spec_int(key, value));
-      check(spec.particles > 1, "--strategy: particles must be at least 2");
+      const std::int64_t v = parse_spec_int(key, value);
+      check(v > 1 && v <= kIntMax,
+            "--strategy: particles must be in [2, " + std::to_string(kIntMax) +
+                "], got '" + value + "'");
+      spec.particles = static_cast<int>(v);
     } else {
       fail_unknown_key("--strategy", key, allowed);
     }
@@ -79,94 +89,37 @@ StrategySpec parse_strategy_spec(const std::string& text) {
 
 namespace detail {
 
-TunedKernel select_winner(const SearchEngine& engine, const SearchOptions& opt,
-                          std::vector<Measured> measured,
-                          SearchStats* stats) {
-  check(!measured.empty(),
-        "strategy: no candidate produced a positive measurement");
+namespace {
+
+/// The algorithm axis, in grid order.
+constexpr codegen::Algorithm kAlgos[] = {
+    codegen::Algorithm::BA, codegen::Algorithm::PL, codegen::Algorithm::DB};
+
+}  // namespace
+
+TunedKernel select_measured(const SearchEngine& engine,
+                            const SearchOptions& opt,
+                            std::vector<Measured> measured,
+                            SearchStats* stats) {
   std::sort(measured.begin(), measured.end(), better);
   measured.erase(std::unique(measured.begin(), measured.end(),
                              [](const Measured& a, const Measured& b) {
                                return a.key == b.key;
                              }),
                  measured.end());
-
-  if (opt.shape) {
-    // The measurement already is the objective (the delivered cost of the
-    // shape class): the top-ranked candidate wins outright.
-    return engine.profile_candidate(measured.front().params, opt);
+  std::vector<KernelParams> params;
+  std::vector<Scored> ranked;
+  params.reserve(measured.size());
+  ranked.reserve(measured.size());
+  for (const Measured& m : measured) {
+    ranked.push_back({m.gflops, params.size()});
+    params.push_back(m.params);
   }
-
-  // Mirror SearchEngine::tune stage 2: sweep the finalists in parallel,
-  // reduce in rank order with a strict >, fall back to the top stage-1
-  // measurement when every sweep came back empty.
-  const std::size_t keep = std::min<std::size_t>(
-      static_cast<std::size_t>(opt.stage1_keep), measured.size());
-  struct SweepResult {
-    std::vector<std::pair<std::int64_t, double>> curve;
-    double peak = 0;
-    std::int64_t peak_n = 0;
-  };
-  std::optional<ThreadPool> local_pool;
-  if (opt.threads > 0) local_pool.emplace(opt.threads);
-  ThreadPool& pool = local_pool ? *local_pool : ThreadPool::global();
-  std::vector<SweepResult> sweeps(keep);
-  pool.parallel_for(
-      static_cast<std::int64_t>(keep),
-      [&](std::int64_t begin, std::int64_t end, int) {
-        for (std::int64_t i = begin; i < end; ++i) {
-          SweepResult& r = sweeps[static_cast<std::size_t>(i)];
-          r.curve = engine.sweep(measured[static_cast<std::size_t>(i)].params,
-                                 opt.stage2_max_n);
-          for (const auto& [n, g] : r.curve) {
-            if (g > r.peak) {
-              r.peak = g;
-              r.peak_n = n;
-            }
-          }
-        }
-      });
-  TunedKernel best;
-  SearchStats st;
-  for (std::size_t i = 0; i < keep; ++i) {
-    const Measured& m = measured[i];
-    SweepResult& r = sweeps[i];
-    st.stage2_points += static_cast<std::int64_t>(r.curve.size());
-    if (r.curve.empty()) {
-      ++st.stage2_empty;
-      st.stage2_failed.push_back(m.params.summary());
-    }
-    if (r.peak > best.best_gflops) {
-      best.params = m.params;
-      best.stage1_gflops = m.gflops;
-      best.best_gflops = r.peak;
-      best.best_n = r.peak_n;
-      best.curve = std::move(r.curve);
-    }
-  }
-  if (best.best_gflops <= 0) {
-    st.used_stage1_fallback = true;
-    const Measured& top = measured.front();
-    best.params = top.params;
-    best.stage1_gflops = top.gflops;
-    best.best_gflops = top.gflops;
-    best.best_n = engine.model().stage1_size(best.params);
-    best.curve = {{best.best_n, top.gflops}};
-  }
-  if (stats) {
-    stats->stage2_points = st.stage2_points;
-    stats->stage2_empty = st.stage2_empty;
-    stats->stage2_failed = std::move(st.stage2_failed);
-    stats->used_stage1_fallback = st.used_stage1_fallback;
-  }
-  check(best.best_gflops > 0,
-        "strategy: neither the finalist sweep nor the stage-1 fallback "
-        "produced a positive measurement");
-  return best;
+  return engine.select(params, ranked, opt, stats);
 }
 
 Grid::Grid(const SearchEngine& engine, const SearchOptions& opt)
-    : axes_(grid_axes(opt.enumeration.include_row_major)),
+    : axes_(grid_axes()),
       dev_(engine.model().spec()),
       restrict_algo_(opt.restrict_algo),
       restrict_local_(opt.restrict_local) {
@@ -212,9 +165,6 @@ std::optional<KernelParams> Grid::decode(const Coords& c,
   const int share = c[7];
   p.share_a = (share & 1) != 0;
   p.share_b = (share & 2) != 0;
-  constexpr codegen::Algorithm kAlgos[] = {codegen::Algorithm::BA,
-                                           codegen::Algorithm::PL,
-                                           codegen::Algorithm::DB};
   p.algo = kAlgos[static_cast<std::size_t>(c[8])];
   if (p.algo != codegen::Algorithm::BA && share == 0) return std::nullopt;
   p.MdimA = c[9] != 0 && wg >= 2 * p.MdimC ? 2 * p.MdimC : p.MdimC;
@@ -231,80 +181,59 @@ std::optional<KernelParams> Grid::decode(const Coords& c,
 }
 
 std::optional<Grid::Coords> Grid::encode(const KernelParams& p) const {
-  const auto find_in = [](const std::vector<int>& values,
-                          int v) -> std::optional<int> {
-    for (std::size_t i = 0; i < values.size(); ++i)
-      if (values[i] == v) return static_cast<int>(i);
-    return std::nullopt;
+  // Position of v on an axis; -1 when v is off the axis.
+  const auto find_in = [](const auto& values, auto v) {
+    const auto it = std::find(std::begin(values), std::end(values), v);
+    return it == std::end(values) ? -1
+                                  : static_cast<int>(it - std::begin(values));
   };
-  Coords c{};
-  const auto iM = find_in(axes_.Mwg, p.Mwg);
-  const auto iN = find_in(axes_.Nwg, p.Nwg);
-  const auto iK = find_in(axes_.Kwg, p.Kwg);
-  const auto iMd = find_in(axes_.dim, p.MdimC);
-  const auto iNd = find_in(axes_.dim, p.NdimC);
-  const auto iKwi = find_in(axes_.Kwi, p.Kwi);
-  const auto ivw = find_in(axes_.vw, p.vw);
-  if (!iM || !iN || !iK || !iMd || !iNd || !iKwi || !ivw)
-    return std::nullopt;
-  c[0] = *iM;
-  c[1] = *iN;
-  c[2] = *iK;
-  c[3] = *iMd;
-  c[4] = *iNd;
-  c[5] = *iKwi;
-  c[6] = *ivw;
-  c[7] = (p.share_a ? 1 : 0) | (p.share_b ? 2 : 0);
-  switch (p.algo) {
-    case codegen::Algorithm::BA: c[8] = 0; break;
-    case codegen::Algorithm::PL: c[8] = 1; break;
-    case codegen::Algorithm::DB: c[8] = 2; break;
-  }
-  if (p.MdimA == p.MdimC) {
-    c[9] = 0;
-  } else if (p.MdimA == 2 * p.MdimC) {
-    c[9] = 1;
-  } else {
-    return std::nullopt;
-  }
-  if (p.NdimB == p.NdimC) {
-    c[10] = 0;
-  } else if (p.NdimB == 2 * p.NdimC) {
-    c[10] = 1;
-  } else {
-    return std::nullopt;
-  }
-  c[11] = (p.stride_m ? 1 : 0) | (p.stride_n ? 2 : 0);
-  std::optional<int> la, lb;
-  for (std::size_t i = 0; i < axes_.layouts.size(); ++i) {
-    if (axes_.layouts[i] == p.layout_a) la = static_cast<int>(i);
-    if (axes_.layouts[i] == p.layout_b) lb = static_cast<int>(i);
-  }
-  if (!la || !lb) return std::nullopt;
-  c[12] = *la;
-  c[13] = *lb;
+  const auto reshape = [](int dim, int base) {
+    return dim == base ? 0 : dim == 2 * base ? 1 : -1;
+  };
+  const Coords c = {find_in(axes_.Mwg, p.Mwg),
+                    find_in(axes_.Nwg, p.Nwg),
+                    find_in(axes_.Kwg, p.Kwg),
+                    find_in(axes_.dim, p.MdimC),
+                    find_in(axes_.dim, p.NdimC),
+                    find_in(axes_.Kwi, p.Kwi),
+                    find_in(axes_.vw, p.vw),
+                    (p.share_a ? 1 : 0) | (p.share_b ? 2 : 0),
+                    find_in(kAlgos, p.algo),
+                    reshape(p.MdimA, p.MdimC),
+                    reshape(p.NdimB, p.NdimC),
+                    (p.stride_m ? 1 : 0) | (p.stride_n ? 2 : 0),
+                    find_in(axes_.layouts, p.layout_a),
+                    find_in(axes_.layouts, p.layout_b)};
+  if (std::find(c.begin(), c.end(), -1) != c.end()) return std::nullopt;
   return c;
 }
 
 }  // namespace detail
-
-std::unique_ptr<SearchStrategy> make_strategy(StrategyKind kind) {
-  switch (kind) {
-    case StrategyKind::Exhaustive: return detail::make_exhaustive();
-    case StrategyKind::ModelTopK: return detail::make_model_topk();
-    case StrategyKind::Anneal: return detail::make_anneal();
-    case StrategyKind::Pso: return detail::make_pso();
-  }
-  fail("make_strategy: unknown strategy kind");
-}
 
 TunedKernel run_strategy(const SearchEngine& engine, Precision prec,
                          const SearchOptions& opt, const StrategySpec& spec,
                          StrategyStats* stats) {
   StrategyStats st;
   st.kind = spec.kind;
-  const auto strat = make_strategy(spec.kind);
-  TunedKernel t = strat->run(engine, prec, opt, spec, &st);
+  TunedKernel t;
+  switch (spec.kind) {
+    case StrategyKind::Exhaustive:
+      // The reference: the paper's two-stage search measures every
+      // candidate in the space.
+      t = engine.tune(prec, opt, &st.search);
+      st.space = st.search.stage1_evaluated;
+      st.measured = st.search.stage1_evaluated;
+      break;
+    case StrategyKind::ModelTopK:
+      t = detail::model_topk(engine, prec, opt, spec, st);
+      break;
+    case StrategyKind::Anneal:
+      t = detail::anneal(engine, prec, opt, spec, st);
+      break;
+    case StrategyKind::Pso:
+      t = detail::pso(engine, prec, opt, spec, st);
+      break;
+  }
   st.fraction_measured =
       st.space > 0
           ? static_cast<double>(st.measured) / static_cast<double>(st.space)

@@ -3,7 +3,8 @@
 //
 // The paper's exhaustive two-stage search measures every enumerated
 // candidate; at serving scale every new device or shape class pays that
-// full cold-start cost. This layer makes the search pluggable:
+// full cold-start cost. A strategy chooses which candidates are measured
+// under a budget:
 //
 //   exhaustive  — the paper's two-stage procedure, unchanged (reference)
 //   model_topk  — rank the FULL candidate space with the analytic
@@ -15,14 +16,15 @@
 //   pso         — particle swarm optimization with index tie-breaks
 //                 (CLTune-style)
 //
-// Every strategy draws from SearchEngine::candidate_space, measures
-// through SearchEngine::measure_candidate and selects its winner through
-// one shared finalist sweep, so results are comparable — and every
-// strategy is bit-reproducible at any --threads for a fixed seed.
+// Everything else is one pipeline: every strategy draws from
+// SearchEngine::candidate_space, measures through
+// SearchEngine::measure_candidate (model_topk and anneal's elite starts
+// through SearchEngine::rank) and picks its winner with
+// SearchEngine::select, so results are comparable — and every strategy is
+// bit-reproducible at any --threads for a fixed seed.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 
 #include "tuner/search.hpp"
@@ -54,7 +56,8 @@ struct StrategySpec {
 };
 
 /// Parses a `--strategy` spec string. Unknown strategy names and unknown
-/// keys throw gemmtune::Error naming the allowed set.
+/// keys throw gemmtune::Error naming the allowed set; out-of-range values
+/// throw naming the key.
 StrategySpec parse_strategy_spec(const std::string& text);
 
 /// Diagnostics from one strategy run.
@@ -69,23 +72,9 @@ struct StrategyStats {
   double fraction_measured = 0;     ///< measured / space
 };
 
-/// One search strategy. Implementations are stateless; all run state is
-/// local to run(), so one instance may be used from any thread.
-class SearchStrategy {
- public:
-  virtual ~SearchStrategy() = default;
-  virtual StrategyKind kind() const = 0;
-  /// Runs the search and returns the selected kernel, profiled the same
-  /// way SearchEngine::tune profiles its winner.
-  virtual TunedKernel run(const SearchEngine& engine,
-                          codegen::Precision prec, const SearchOptions& opt,
-                          const StrategySpec& spec,
-                          StrategyStats* stats) const = 0;
-};
-
-std::unique_ptr<SearchStrategy> make_strategy(StrategyKind kind);
-
-/// Convenience: make + run + fill fraction_measured.
+/// Runs the strategy `spec` names and returns the selected kernel,
+/// profiled the same way SearchEngine::tune profiles its winner. Fills
+/// every StrategyStats field, fraction_measured included.
 TunedKernel run_strategy(const SearchEngine& engine, codegen::Precision prec,
                          const SearchOptions& opt, const StrategySpec& spec,
                          StrategyStats* stats = nullptr);

@@ -102,6 +102,20 @@ TEST(Cli, TuneSmallBudget) {
   EXPECT_NE(out.find("paper Table II"), std::string::npos);
 }
 
+TEST(Cli, TuneRejectsBadBudget) {
+  // The budget is parsed strictly: a negative one would reach the
+  // enumerator's reservoir sample, and trailing junk or zero must not run
+  // a different search than the one asked for.
+  for (const char* budget : {"-5", "12abc", "0"}) {
+    auto [rc, out] = run_cli({"tune", "Tahiti", "DGEMM", budget});
+    EXPECT_EQ(rc, 1) << budget;
+    EXPECT_NE(out.find("tune: budget expects an integer >= 1, got '" +
+                       std::string(budget) + "'"),
+              std::string::npos)
+        << out;
+  }
+}
+
 TEST(Cli, VerifyPassesAndBoundsSizes) {
   auto [rc, out] = run_cli({"verify", "Tahiti", "DGEMM", "40", "30", "20"});
   EXPECT_EQ(rc, 0);

@@ -12,11 +12,11 @@
 #include "clfront/parser.hpp"
 #include "codegen/gemm_generator.hpp"
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 #include "kernelir/emit.hpp"
 #include "kernelir/interp.hpp"
 #include "kernelir/native.hpp"
 #include "layout/packing.hpp"
+#include "native_prebuild.hpp"
 #include "simcl/device_registry.hpp"
 
 namespace gemmtune {
@@ -165,12 +165,11 @@ TEST(FuzzCodegen, RandomValidParameterSets) {
   // the program cache.
   const bool native = ir::native_toolchain_available();
   if (native) {
-    ThreadPool::global().parallel_for(
-        kNativeShapes, [&](std::int64_t begin, std::int64_t end, int) {
-          for (std::int64_t i = begin; i < end; ++i)
-            (void)ir::get_or_compile_native(codegen::generate_gemm_kernel(
-                params[static_cast<std::size_t>(i)]));
-        });
+    std::vector<ir::Kernel> kernels;
+    for (int i = 0; i < kNativeShapes; ++i)
+      kernels.push_back(codegen::generate_gemm_kernel(
+          params[static_cast<std::size_t>(i)]));
+    prebuild_native(kernels);
   }
   for (std::size_t i = 0; i < params.size(); ++i) {
     const auto tested = static_cast<unsigned>(i);

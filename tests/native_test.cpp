@@ -29,6 +29,7 @@
 #include "kernelir/native.hpp"
 #include "layout/matrix.hpp"
 #include "layout/packing.hpp"
+#include "native_prebuild.hpp"
 #include "simcl/runtime.hpp"
 #include "trace/trace.hpp"
 #include "tuner/shape.hpp"
@@ -392,13 +393,19 @@ TEST_F(NativeTest, SimdDifferentialAcrossFuzzedShapes) {
   static const int kLocals[] = {2, 4, 8, 12, 24, 40};
   static const int kTrips[] = {0, 1, 3, 7};
   Rng rng(0x51D5);
-  for (int n = 0; n < 8; ++n) {
-    FuzzShape f;
+  std::vector<FuzzShape> shapes(8);
+  std::vector<Kernel> kernels;
+  for (std::size_t n = 0; n < shapes.size(); ++n) {
+    FuzzShape& f = shapes[n];
     f.s = (n % 2) != 0 ? Scalar::F32 : Scalar::F64;
     f.w = kWidths[n % 4];
     f.local = kLocals[n % 6];
     f.groups = 1 + static_cast<int>(rng.next_below(3));
     f.trip = kTrips[rng.next_below(4)];
+    kernels.push_back(fuzzed_kernel(f));
+  }
+  prebuild_native(kernels);
+  for (const FuzzShape& f : shapes) {
     const FuzzResult byte = run_fuzzed(f, Backend::Bytecode);
     const FuzzResult simd = run_fuzzed(f, Backend::Native);
     EXPECT_EQ(byte.bytes, simd.bytes)
@@ -455,13 +462,28 @@ std::vector<std::uint8_t> random_elems(Rng& rng, std::size_t n, bool f32) {
 TEST_F(NativeTest, RealGemmKernelsMatchBytecode) {
   if (!native_toolchain_available()) GTEST_SKIP() << "no host toolchain";
   using codegen::Precision;
+  const auto devices = {simcl::DeviceId::Tahiti, simcl::DeviceId::SandyBridge};
+  const auto precs = {Precision::SP, Precision::DP};
+  // The guarded direct kernel (vw = 1, fringe ifs), checked last.
+  const codegen::KernelParams q = tuner::direct_variant(
+      codegen::table2_entry(simcl::DeviceId::Tahiti, Precision::SP).params);
+  std::vector<Kernel> kernels;
+  for (const auto dev : devices)
+    for (const auto prec : precs)
+      kernels.push_back(codegen::generate_gemm_kernel(
+          codegen::table2_entry(dev, prec).params));
+  kernels.push_back(codegen::generate_direct_gemm_kernel(
+      q, Transpose::No, Transpose::No, true));
+  prebuild_native(kernels);
+
   Rng rng(0x6E77);
   // The packed Table II kernels the GEMM path launches for Tahiti and
   // SandyBridge, at twice their work-group tile in every dimension.
-  for (const auto dev : {simcl::DeviceId::Tahiti, simcl::DeviceId::SandyBridge})
-    for (const auto prec : {Precision::SP, Precision::DP}) {
+  std::size_t next = 0;
+  for (const auto dev : devices)
+    for (const auto prec : precs) {
       const codegen::KernelParams p = codegen::table2_entry(dev, prec).params;
-      const Kernel k = codegen::generate_gemm_kernel(p);
+      const Kernel& k = kernels[next++];
       const std::int64_t Mp = 2 * p.Mwg, Np = 2 * p.Nwg, Kp = 2 * p.Kwg;
       const bool f32 = prec == Precision::SP;
       const std::vector<std::vector<std::uint8_t>> bufs = {
@@ -479,12 +501,8 @@ TEST_F(NativeTest, RealGemmKernelsMatchBytecode) {
       EXPECT_EQ(byte.bytes, simd.bytes) << what;
       EXPECT_EQ(byte.counters, simd.counters) << what;
     }
-  // The guarded direct kernel (vw = 1, fringe ifs) on a shape that is a
-  // multiple of no tile.
-  const codegen::KernelParams q = tuner::direct_variant(
-      codegen::table2_entry(simcl::DeviceId::Tahiti, Precision::SP).params);
-  const Kernel k = codegen::generate_direct_gemm_kernel(q, Transpose::No,
-                                                        Transpose::No, true);
+  // The guarded direct kernel on a shape that is a multiple of no tile.
+  const Kernel& k = kernels.back();
   const std::int64_t M = 131, N = 97, K = 75;
   const PackedExtents ext = packed_extents(M, N, K, q.Mwg, q.Nwg, q.Kwg);
   const std::vector<std::vector<std::uint8_t>> bufs = {

@@ -4,6 +4,7 @@
 // shape-keyed TunedDatabase rows, and the guided serve warmup.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -107,6 +108,10 @@ TEST(StrategySpecTest, RejectsBadValues) {
   EXPECT_THROW(parse_strategy_spec("model_topk,budget=0"), Error);
   EXPECT_THROW(parse_strategy_spec("anneal,restarts=0"), Error);
   EXPECT_THROW(parse_strategy_spec("pso,particles=1"), Error);
+  // Values past int range must be rejected, not wrapped (2^32 + 1 -> 1).
+  EXPECT_THROW(parse_strategy_spec("anneal,budget=40,restarts=4294967297"),
+               Error);
+  EXPECT_THROW(parse_strategy_spec("pso,particles=4294967298"), Error);
 }
 
 // --- Strategy equivalence and budget accounting ---
@@ -127,7 +132,7 @@ TEST(StrategyTest, ExhaustiveMatchesEngineTune) {
 
 TEST(StrategyTest, ModelTopKMatchesExhaustiveAtFractionalBudget) {
   // The measurement IS the analytic model, so ranking the space with the
-  // model and measuring only the top-K >= stage1_keep candidates must
+  // model and measuring only the top-K >= kStage1Keep candidates must
   // select the exact kernel the exhaustive search selects.
   const SearchEngine engine(DeviceId::Cayman);
   const SearchOptions opt = small_search();
@@ -159,6 +164,123 @@ TEST(StrategyTest, GuidedBudgetsAreRespected) {
     EXPECT_LE(st.measured, 40) << to_string(kind);
     EXPECT_GT(st.measured, 0) << to_string(kind);
     EXPECT_LE(st.fraction_measured, 0.11) << to_string(kind);
+  }
+}
+
+TEST(StrategyTest, WinnersArePinned) {
+  // Every strategy's selected kernel and search trace at 800 candidates,
+  // classic and for one shape class. Any change to ranking, finalist
+  // selection or the strategies' proposals shows up here.
+  struct Pin {
+    DeviceId dev;
+    Precision prec;
+    const char* spec;
+    bool shaped;
+    const char* key;
+    std::int64_t best_n;
+    std::size_t curve;
+    std::int64_t measured;
+    std::int64_t stage2_points;
+    bool fallback;
+  };
+  const Pin pins[] = {
+      {DeviceId::Tahiti, Precision::SP, "exhaustive", false,
+       "s.128.128.16.16.16.16.16.8.1.11.11.RBL.CBL.PL",
+       6272, 64, 801, 2222, false},
+      {DeviceId::Tahiti, Precision::SP, "exhaustive", true,
+       "s.64.64.192.16.8.16.16.2.1.01.01.CBL.CBL.PL", 64, 1, 801, 0, false},
+      {DeviceId::Tahiti, Precision::SP, "model_topk,budget=24", false,
+       "s.128.128.16.16.16.16.16.8.1.11.11.RBL.CBL.PL",
+       6272, 64, 24, 762, false},
+      {DeviceId::Tahiti, Precision::SP, "model_topk,budget=24", true,
+       "s.64.64.192.16.8.16.16.2.1.01.01.CBL.CBL.PL", 64, 1, 24, 0, false},
+      {DeviceId::Tahiti, Precision::SP, "anneal,budget=80,seed=42", false,
+       "s.128.128.16.16.16.16.16.8.1.11.11.RBL.CBL.PL",
+       6272, 64, 80, 1265, false},
+      {DeviceId::Tahiti, Precision::SP, "anneal,budget=80,seed=42", true,
+       "s.64.64.192.16.8.16.16.4.1.10.01.CBL.RBL.BA", 64, 1, 80, 0, false},
+      {DeviceId::Tahiti, Precision::SP, "pso,budget=80,seed=7", false,
+       "s.128.64.16.16.8.16.16.1.1.10.01.CBL.RBL.DB",
+       6272, 64, 80, 1754, false},
+      {DeviceId::Tahiti, Precision::SP, "pso,budget=80,seed=7", true,
+       "s.64.64.96.8.8.8.16.16.1.00.11.CBL.RBL.BA", 64, 1, 80, 0, false},
+      {DeviceId::Tahiti, Precision::DP, "exhaustive", false,
+       "d.96.48.48.32.4.64.8.24.1.10.00.CBL.RBL.BA",
+       5472, 85, 801, 2673, false},
+      {DeviceId::Tahiti, Precision::DP, "exhaustive", true,
+       "d.32.64.96.8.8.16.8.1.2.00.10.RBL.RBL.DB", 64, 1, 801, 0, false},
+      {DeviceId::Tahiti, Precision::DP, "model_topk,budget=24", false,
+       "d.96.48.48.32.4.64.8.24.1.10.00.CBL.RBL.BA", 5472, 85, 24, 1228, false},
+      {DeviceId::Tahiti, Precision::DP, "model_topk,budget=24", true,
+       "d.32.64.96.8.8.16.8.1.2.00.10.RBL.RBL.DB", 64, 1, 24, 0, false},
+      {DeviceId::Tahiti, Precision::DP, "anneal,budget=80,seed=42", false,
+       "d.96.96.16.16.16.16.16.8.2.01.00.CBL.CBL.BA",
+       5472, 85, 78, 2048, false},
+      {DeviceId::Tahiti, Precision::DP, "anneal,budget=80,seed=42", true,
+       "d.32.64.96.4.16.8.16.1.2.00.10.RBL.CBL.PL", 64, 1, 80, 0, false},
+      {DeviceId::Tahiti, Precision::DP, "pso,budget=80,seed=7", false,
+       "d.48.96.32.8.16.8.16.2.2.10.00.CBL.RBL.BA", 5472, 85, 80, 3292, false},
+      {DeviceId::Tahiti, Precision::DP, "pso,budget=80,seed=7", true,
+       "d.32.64.48.8.16.8.16.1.1.01.01.RBL.CBL.BA", 64, 1, 80, 0, false},
+      {DeviceId::SandyBridge, Precision::SP, "exhaustive", false,
+       "s.64.128.48.8.16.8.32.16.8.00.00.CBL.RBL.BA",
+       7680, 21, 801, 3034, false},
+      {DeviceId::SandyBridge, Precision::SP, "exhaustive", true,
+       "s.32.32.192.4.4.4.4.24.8.01.00.RBL.RBL.BA", 64, 1, 801, 0, false},
+      {DeviceId::SandyBridge, Precision::SP, "model_topk,budget=24", false,
+       "s.64.128.48.8.16.8.32.16.8.00.00.CBL.RBL.BA",
+       7680, 21, 24, 1679, false},
+      {DeviceId::SandyBridge, Precision::SP, "model_topk,budget=24", true,
+       "s.32.32.192.4.4.4.4.24.8.01.00.RBL.RBL.BA", 64, 1, 24, 0, false},
+      {DeviceId::SandyBridge, Precision::SP, "anneal,budget=80,seed=42", false,
+       "s.64.128.48.8.16.8.32.16.8.00.00.CBL.RBL.BA",
+       7680, 21, 79, 3080, false},
+      {DeviceId::SandyBridge, Precision::SP, "anneal,budget=80,seed=42", true,
+       "s.32.32.96.4.4.4.4.24.8.01.00.CBL.RBL.BA", 64, 1, 79, 0, false},
+      {DeviceId::SandyBridge, Precision::SP, "pso,budget=80,seed=7", false,
+       "s.64.64.64.8.8.8.8.8.8.10.00.RBL.RBL.BA", 8064, 128, 77, 4745, false},
+      {DeviceId::SandyBridge, Precision::SP, "pso,budget=80,seed=7", true,
+       "s.64.64.16.8.8.16.8.16.8.00.00.RBL.CBL.BA", 64, 1, 80, 0, false},
+      {DeviceId::SandyBridge, Precision::DP, "exhaustive", false,
+       "d.128.128.192.16.16.32.32.16.8.10.00.CBL.RBL.BA",
+       7680, 21, 801, 3293, false},
+      {DeviceId::SandyBridge, Precision::DP, "exhaustive", true,
+       "d.32.16.64.4.4.4.4.4.4.01.00.CBL.CBL.BA", 64, 1, 801, 0, false},
+      {DeviceId::SandyBridge, Precision::DP, "model_topk,budget=24", false,
+       "d.128.128.192.16.16.32.32.16.8.10.00.CBL.RBL.BA",
+       7680, 21, 24, 1252, false},
+      {DeviceId::SandyBridge, Precision::DP, "model_topk,budget=24", true,
+       "d.32.16.64.4.4.4.4.4.4.01.00.CBL.CBL.BA", 64, 1, 24, 0, false},
+      {DeviceId::SandyBridge, Precision::DP, "anneal,budget=80,seed=42", false,
+       "d.128.128.192.16.16.32.32.16.8.10.00.CBL.RBL.BA",
+       7680, 21, 80, 2831, false},
+      {DeviceId::SandyBridge, Precision::DP, "anneal,budget=80,seed=42", true,
+       "d.16.32.32.4.4.8.4.4.4.11.00.CBL.CBL.BA", 64, 1, 80, 0, false},
+      {DeviceId::SandyBridge, Precision::DP, "pso,budget=80,seed=7", false,
+       "d.128.96.192.16.8.16.16.16.4.00.00.CBL.RBL.BA",
+       8064, 21, 80, 1392, false},
+      {DeviceId::SandyBridge, Precision::DP, "pso,budget=80,seed=7", true,
+       "d.64.32.96.8.4.16.8.4.4.00.01.RBL.RBL.DB", 64, 1, 80, 0, false},
+  };
+  // One engine per device, so each space is enumerated once.
+  const SearchEngine tahiti(DeviceId::Tahiti);
+  const SearchEngine sandy(DeviceId::SandyBridge);
+  for (const Pin& pin : pins) {
+    const SearchEngine& engine = pin.dev == DeviceId::Tahiti ? tahiti : sandy;
+    SearchOptions opt = small_search(800);
+    if (pin.shaped) opt.shape = shape_of(pin.prec, 2000, 64, 2000);
+    StrategyStats st;
+    const TunedKernel t =
+        run_strategy(engine, pin.prec, opt, parse_strategy_spec(pin.spec), &st);
+    const std::string what = simcl::to_string(pin.dev) + " " +
+                             to_string(pin.prec) + " " + pin.spec +
+                             (pin.shaped ? " shaped" : " classic");
+    EXPECT_EQ(t.params.key(), pin.key) << what;
+    EXPECT_EQ(t.best_n, pin.best_n) << what;
+    EXPECT_EQ(t.curve.size(), pin.curve) << what;
+    EXPECT_EQ(st.measured, pin.measured) << what;
+    EXPECT_EQ(st.search.stage2_points, pin.stage2_points) << what;
+    EXPECT_EQ(st.search.used_stage1_fallback, pin.fallback) << what;
   }
 }
 

@@ -54,6 +54,21 @@ TEST(Candidates, SpaceIsTensOfThousands) {
   EXPECT_GT(st.kept, 50000);
 }
 
+TEST(Candidates, RejectsNonPositiveBudget) {
+  for (int budget : {0, -5}) {
+    EnumOptions o;
+    o.max_candidates = budget;
+    try {
+      (void)tuner::enumerate_candidates(DeviceId::Tahiti, Precision::DP, o);
+      FAIL() << "expected Error for max_candidates = " << budget;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("max_candidates must be >= 1"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(Candidates, DeterministicForSeed) {
   const auto a = tuner::enumerate_candidates(DeviceId::Fermi, Precision::SP,
                                              small_enum());

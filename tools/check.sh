@@ -2,7 +2,8 @@
 # CI-style verification: the tier-1 build + full test suite, then a
 # ThreadSanitizer build of the concurrency-sensitive tests (the parallel
 # execution layer, the work-group-parallel interpreter, the native JIT
-# program cache, the trace collector, and the concurrent serving core).
+# program cache, the trace collector, the concurrent serving core, and the
+# tuner's search strategies, which rank and sweep on the shared pool).
 #
 # Usage: tools/check.sh [--tier1-only|--tsan-only] [jobs]
 #
@@ -45,15 +46,19 @@ if [[ "$RUN_TIER1" == "1" ]]; then
 fi
 
 if [[ "$RUN_TSAN" == "1" ]]; then
-  echo "== ThreadSanitizer: parallel_test + kernelir_test + vm_test + native_test + trace_test + servecore_test =="
+  echo "== ThreadSanitizer: parallel_test + kernelir_test + vm_test + native_test + trace_test + servecore_test + strategy_test (StrategyTest.*) =="
   cmake -B build-tsan -S . -DGEMMTUNE_TSAN=ON \
     "${CMAKE_ARGS[@]+"${CMAKE_ARGS[@]}"}" >/dev/null
   cmake --build build-tsan -j "$JOBS" \
     --target parallel_test kernelir_test vm_test native_test trace_test \
-             servecore_test
+             servecore_test strategy_test
   TSAN_OPTIONS="halt_on_error=1" \
     ctest --test-dir build-tsan --output-on-failure \
     -R '^(parallel_test|kernelir_test|vm_test|native_test|trace_test|servecore_test)$'
+  # The strategy cases only: the serve and results-database cases in the
+  # same binary add TSan time without exercising the search pool.
+  TSAN_OPTIONS="halt_on_error=1" \
+    build-tsan/tests/strategy_test --gtest_filter='StrategyTest.*'
 fi
 
 echo "== all checks passed =="
