@@ -254,7 +254,7 @@ int cmd_estimate(const std::vector<std::string>& args, std::ostream& out) {
   const auto id = simcl::device_by_name(args[0]);
   const Precision prec = parse_precision(args[1]);
   const GemmType type = parse_type(args[2]);
-  const index_t n = std::stoll(args[3]);
+  const index_t n = parse_count("estimate: n", args[3]);
   blas::GemmEngine engine(id);
   const auto prof = engine.estimate(type, prec, n, n, n);
   out << strf("%s %s %s N=%lld: %.1f GFlop/s (%s; copy %.3f ms, kernel "
@@ -273,7 +273,7 @@ int cmd_sweep(const std::vector<std::string>& args, std::ostream& out) {
   check(args.size() >= 3, "usage: sweep <device> <DGEMM|SGEMM> <maxN>");
   const auto id = simcl::device_by_name(args[0]);
   const Precision prec = parse_precision(args[1]);
-  const std::int64_t max_n = std::stoll(args[2]);
+  const std::int64_t max_n = parse_count("sweep: maxN", args[2]);
   tuner::SearchEngine engine(id);
   const auto p = codegen::table2_entry(id, prec).params;
   TextTable t;
@@ -289,10 +289,10 @@ int cmd_verify(const std::vector<std::string>& args, std::ostream& out) {
         "usage: verify <device> <DGEMM|SGEMM> <M> <N> <K>");
   const auto id = simcl::device_by_name(args[0]);
   const Precision prec = parse_precision(args[1]);
-  const index_t M = std::stoll(args[2]);
-  const index_t N = std::stoll(args[3]);
-  const index_t K = std::stoll(args[4]);
-  check(M > 0 && N > 0 && K > 0 && M <= 512 && N <= 512 && K <= 512,
+  const index_t M = parse_count("verify: M", args[2]);
+  const index_t N = parse_count("verify: N", args[3]);
+  const index_t K = parse_count("verify: K", args[4]);
+  check(M <= 512 && N <= 512 && K <= 512,
         "sizes must be in [1, 512] (functional execution is interpreted)");
   blas::GemmEngine engine(id);
   Rng rng(2026);

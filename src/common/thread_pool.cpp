@@ -140,4 +140,11 @@ ThreadPool& ThreadPool::global() {
   return *slot;
 }
 
+ThreadPool& pool_for(int threads, std::optional<ThreadPool>* own) {
+  if (threads <= 0 || threads == configured_threads())
+    return ThreadPool::global();
+  if (!*own) own->emplace(threads);
+  return **own;
+}
+
 }  // namespace gemmtune

@@ -31,6 +31,7 @@
 #include <exception>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -108,6 +109,11 @@ class ThreadPool {
   bool busy_ = false;         // a parallel_for is in flight
   std::vector<std::exception_ptr> errors_;  // slot per worker
 };
+
+/// The pool for a section asking for `threads` workers: global() when
+/// `threads` is 0 or configured_threads() (so repeated calls start no
+/// threads), else `*own`, created on first use with `threads` workers.
+ThreadPool& pool_for(int threads, std::optional<ThreadPool>* own);
 
 /// Maps `fn(i)` over [0, n) on `pool`, returning results in index order
 /// (bit-identical to the serial loop for any thread count). `Fn` must be

@@ -45,25 +45,25 @@ namespace gemmtune::ir {
 namespace {
 
 /// Bumping this invalidates every cached .so (the hash covers it).
-constexpr const char* kEmitterVersion = "gemmtune-native-emit-v3";
+constexpr const char* kEmitterVersion = "gemmtune-native-emit-v4";
 /// JIT compiler flags. The backend contract is byte-identical buffers
-/// against the interpreter. Every hot loop is an explicit vector over the
-/// work-items (GCC's loop vectorizer does not analyze the per-item loops
-/// inside the goto-formed kernel loops), with f32 rounding as
-/// per-element conversions inside the vector body, so the loop
-/// vectorizer may still run on whatever is left. SLP stays off: it
-/// reorganizes scalar (double)(float) rounding chains at a one-ULP cost
-/// on f32 kernels, and the explicit vectors leave it no upside.
-/// Contraction is off for the same reason. Loop distribution is off: the
-/// emitter merges consecutive per-item instructions into one pass on
-/// purpose, and with GCC 12 distributing those passes into copy calls
-/// gave wrong buffers for kernels whose work-group size is a run-time
-/// value (caught by the fuzzed native differential; correct at -O1 or
-/// with distribution off).
+/// against the interpreter. Every hot loop is an explicit vector in the
+/// emitted source (over work-items, or over a region's chunk of items ×
+/// lanes), with f32 rounding as per-element conversions, so GCC's
+/// vectorizers are off: SLP reorganizes scalar (double)(float) rounding
+/// chains at a one-ULP cost on f32 kernels, and at -O2 the loop vectorizer
+/// gave wrong buffers on one native_test region differential kernel
+/// (correct at -O1, at -O3, or with it off). Contraction is off for the
+/// same reason as SLP. Loop distribution is off: the emitter merges
+/// consecutive per-item instructions into one pass on purpose, and with
+/// GCC 12 distributing those passes into copy calls gave wrong buffers for
+/// kernels whose work-group size is a run-time value (caught by the fuzzed
+/// native differential; correct at -O1 or with distribution off). -O2,
+/// not -O3: it builds the 12 Table II kernels cold in 44 s instead of
+/// 71 s, and their warm times measured 0.89–1.02× of -O3's (median 0.98×).
 constexpr const char* kJitFlags =
-    "-std=c++17 -O3 -fPIC -shared -ffp-contract=off "
-    "-fno-tree-loop-distribution -fno-tree-loop-distribute-patterns "
-    "-fno-tree-slp-vectorize";
+    "-std=c++17 -O2 -fPIC -shared -ffp-contract=off -fno-tree-vectorize "
+    "-fno-tree-loop-distribution -fno-tree-loop-distribute-patterns";
 
 /// Compiler flags for one native compile at the given emit width. The
 /// arch flag must cover the vector width the emitter baked in, and both

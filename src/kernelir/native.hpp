@@ -8,9 +8,12 @@
 // registers and private arrays are lane-major (slot s of work-item t at
 // s*SN + t, SN = NI plus one cache line), so consecutive per-item
 // instructions become one pass over the work-items, printed as explicit
-// host-width vectors whatever the kernel's own vector width;
-// when the kernel declares reqd_work_group_size the work-group size
-// itself is a compile-time constant. Bounds checks the
+// host-width vectors whatever the kernel's own vector width. When the
+// kernel declares reqd_work_group_size the work-group size itself is a
+// compile-time constant, and each store-free loop (the GEMM k-loop) runs
+// item-chunk-outer instead: chunks of work-items packed into host
+// vectors, their registers and constant-index private arrays held in C++
+// locals across the loop. Bounds checks the
 // bytecode pass already proved (constant private/local addressing lowered
 // to FmaPP / SplatLaneP / kImmAddr forms) are gone entirely; the remaining
 // runtime checks raise the exact same message text as the tree walker and

@@ -125,8 +125,7 @@ std::vector<KernelParams> enumerate_candidates(simcl::DeviceId id,
 
   {
     std::optional<ThreadPool> local_pool;
-    if (threads > 0) local_pool.emplace(threads);
-    ThreadPool& pool = local_pool ? *local_pool : ThreadPool::global();
+    ThreadPool& pool = pool_for(threads, &local_pool);
     pool.parallel_for(nM * nN,
                       [&](std::int64_t begin, std::int64_t end, int) {
                         for (std::int64_t ci = begin; ci < end; ++ci)

@@ -113,17 +113,13 @@ TunedKernel SearchEngine::profile_candidate(const KernelParams& p,
 
 namespace {
 
-/// The pool one search step runs on: its own `threads` workers, created on
-/// first use, or the process-wide pool when threads is 0. tune() shares one
-/// between ranking and selection.
+/// The pool one search step runs on (see pool_for): the process-wide pool
+/// when `threads` is 0 or the configured count, else its own workers,
+/// created on first use. tune() shares one between ranking and selection.
 class SearchPool {
  public:
   explicit SearchPool(int threads) : threads_(threads) {}
-  ThreadPool& get() {
-    if (threads_ <= 0) return ThreadPool::global();
-    if (!local_) local_.emplace(threads_);
-    return *local_;
-  }
+  ThreadPool& get() { return pool_for(threads_, &local_); }
 
  private:
   int threads_;

@@ -185,8 +185,7 @@ TunedKernel anneal(const SearchEngine& engine, codegen::Precision prec,
 
   std::vector<ChainOut> chains(static_cast<std::size_t>(restarts));
   std::optional<ThreadPool> local_pool;
-  if (opt.threads > 0) local_pool.emplace(opt.threads);
-  ThreadPool& pool = local_pool ? *local_pool : ThreadPool::global();
+  ThreadPool& pool = pool_for(opt.threads, &local_pool);
   pool.parallel_for(restarts, [&](std::int64_t begin, std::int64_t end, int) {
     for (std::int64_t r = begin; r < end; ++r)
       run_chain(engine, opt, prec, spec, candidates, space_index, grid, elite,

@@ -125,6 +125,25 @@ TEST(Cli, VerifyPassesAndBoundsSizes) {
   EXPECT_EQ(rc2, 1);
 }
 
+TEST(Cli, SizesAreParsedStrictly) {
+  // Trailing junk must not run a different size than the one asked for,
+  // and a non-positive size is rejected before it reaches the engine.
+  const std::vector<std::pair<std::vector<std::string>, std::string>> cases =
+      {{{"sweep", "Kepler", "DGEMM", "256abc"},
+        "sweep: maxN expects an integer >= 1, got '256abc'"},
+       {{"verify", "Tahiti", "DGEMM", "40x", "30", "20"},
+        "verify: M expects an integer >= 1, got '40x'"},
+       {{"verify", "Tahiti", "DGEMM", "40", "30", "0"},
+        "verify: K expects an integer >= 1, got '0'"},
+       {{"estimate", "Tahiti", "DGEMM", "NN", "-5"},
+        "estimate: n expects an integer >= 1, got '-5'"}};
+  for (const auto& [args, want] : cases) {
+    auto [rc, out] = run_cli(args);
+    EXPECT_EQ(rc, 1) << want;
+    EXPECT_NE(out.find(want), std::string::npos) << out;
+  }
+}
+
 TEST(Cli, InterpFlagSelectsBackend) {
   // Every backend must verify successfully; bad values are rejected
   // before any command runs, with a keyval-style error naming the value

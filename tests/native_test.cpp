@@ -4,7 +4,9 @@
 // a foreign object under a kernel's name is rebuilt), graceful fallback to
 // bytecode when no toolchain is usable, read-only cache-dir handling, and
 // cache eviction under GEMMTUNE_PROGRAM_CACHE_MAX. The SIMD differentials
-// run fuzzed kernels and the real GEMM kernels natively against bytecode.
+// run fuzzed kernels and the real GEMM kernels natively against bytecode;
+// the region cases pin what chunk-outer execution must keep: the lockstep
+// VM's first fault, item order of racy local stores, divergence.
 // Semantic equivalence of the native backend (buffers, counters, error
 // parity) lives in vm_test.cpp's three-way differentials and
 // fuzz_codegen_test.cpp.
@@ -415,6 +417,201 @@ TEST_F(NativeTest, SimdDifferentialAcrossFuzzedShapes) {
   }
 }
 
+// ---- chunk-outer regions: fault order, races, divergence -------------------
+
+/// One launch's observable outcome: buffers always (one thread, so a
+/// faulting launch leaves exactly the stores before the fault), the
+/// counters on success and the error text on failure.
+struct Outcome {
+  bool threw = false;
+  std::string message;
+  Counters counters;
+  std::vector<std::uint8_t> bytes;
+};
+
+// Error::what() is "<file>:<line>: <message>"; the backends raise from
+// different source files, so parity is on the stripped message.
+std::string strip_loc(const std::string& s) {
+  const auto pos = s.find(": ");
+  return pos == std::string::npos ? s : s.substr(pos + 2);
+}
+
+/// Runs a kernel of signature (double* out, const double* a, int n) on
+/// `groups` work-groups of 8 x 1 items; out holds two doubles per item and
+/// a holds `alen` elements.
+Outcome run_region(const Kernel& k, int groups, int alen, int n, Backend be) {
+  if (be == Backend::Native) {
+    std::string why;
+    EXPECT_NE(get_or_compile_native(k, &why), nullptr) << why;
+  }
+  const std::int64_t items = 8LL * groups;
+  auto out = std::make_shared<simcl::Buffer>(
+      static_cast<std::size_t>(2 * items) * sizeof(double));
+  auto a = std::make_shared<simcl::Buffer>(static_cast<std::size_t>(alen) *
+                                           sizeof(double));
+  for (int j = 0; j < alen; ++j) a->as<double>()[j] = 0.25 * j + 1.0;
+  Outcome r;
+  try {
+    r.counters = launch_with_backend(
+        k, {items, 1}, {8, 1},
+        {ArgValue::of(out), ArgValue::of(a), ArgValue::of_int(n)}, 1, be);
+  } catch (const Error& e) {
+    r.threw = true;
+    r.message = strip_loc(e.what());
+  }
+  for (const auto& buf : {out, a}) {
+    const auto* p = reinterpret_cast<const std::uint8_t*>(buf->data());
+    r.bytes.insert(r.bytes.end(), p, p + buf->size());
+  }
+  return r;
+}
+
+/// The builder for the region kernels: the (out, a, n) signature, an 8 x 1
+/// work-group, and the variables every kernel uses.
+struct RegionKernel {
+  KernelBuilder b{"region", Scalar::F64};
+  int gid, lx, k, acc;
+  RegionKernel() {
+    b.add_arg("out", ArgKind::GlobalPtr, Scalar::F64);
+    b.add_arg("a", ArgKind::GlobalConstPtr, Scalar::F64);
+    b.add_arg("n", ArgKind::Int, Scalar::I32);
+    b.set_reqd_local(8, 1);
+    gid = b.decl_var("gid", i32());
+    lx = b.decl_var("lx", i32());
+    k = b.decl_var("k", i32());
+    acc = b.decl_var("acc", fp(Scalar::F64, 2));
+    b.append(assign(gid, builtin(BuiltinFn::GlobalId, 0)));
+    b.append(assign(lx, builtin(BuiltinFn::LocalId, 0)));
+  }
+  /// acc += a[index .. index + 2) for k in [0, n), then out[2 gid ..] = acc.
+  Kernel finish(std::vector<StmtPtr> loop_head, ExprPtr index) {
+    loop_head.push_back(
+        assign(acc, bin(BinOp::FAdd, b.ref(acc),
+                        load_global(1, index, fp(Scalar::F64, 2)))));
+    b.append(for_loop(k, iconst(0), arg_ref(2, i32()), iconst(1),
+                      std::move(loop_head)));
+    b.append(store_global(0, b.ref(gid) * 2, b.ref(acc)));
+    return b.build();
+  }
+};
+
+bool has_region(const Kernel& k) {
+  return emit_native_source(k, *compile(k)).find("chunk-outer") !=
+         std::string::npos;
+}
+
+void expect_same(const Kernel& k, int groups, int alen, int n) {
+  const Outcome byte = run_region(k, groups, alen, n, Backend::Bytecode);
+  const Outcome nat = run_region(k, groups, alen, n, Backend::Native);
+  EXPECT_EQ(byte.threw, nat.threw);
+  EXPECT_EQ(byte.message, nat.message);
+  EXPECT_EQ(byte.bytes, nat.bytes);
+  if (!byte.threw) {
+    EXPECT_EQ(byte.counters, nat.counters);
+  }
+}
+
+TEST_F(NativeTest, RegionLoadFaultIsTheLockstepFirst) {
+  if (!native_toolchain_available()) GTEST_SKIP() << "no host toolchain";
+  // Item lx loads a[(3 lx) % 8 + 2 k .. + 2) from a 14-element buffer:
+  // item 5 (base 7) faults at iteration 3 (index 13), item 2 (base 6)
+  // only at iteration 4 (index 14). In lockstep order item 5's fault
+  // comes first, even though a chunk holding item 2 may run, and fault,
+  // before the chunk holding item 5.
+  RegionKernel rk;
+  const Kernel k = rk.finish({}, bin(BinOp::Mod, rk.b.ref(rk.lx) * 3,
+                                     iconst(8)) +
+                                     rk.b.ref(rk.k) * 2);
+  EXPECT_TRUE(has_region(k));
+  const Outcome byte = run_region(k, 2, 14, 6, Backend::Bytecode);
+  EXPECT_EQ(byte.message,
+            "global load out of range: index 13 + 2 lanes, buffer 14 "
+            "elements");
+  expect_same(k, 2, 14, 6);
+  expect_same(k, 2, 14, 3);  // no item faults within three iterations
+}
+
+TEST_F(NativeTest, RegionIntegerDivisionByZero) {
+  if (!native_toolchain_available()) GTEST_SKIP() << "no host toolchain";
+  // q = (k + 1) / (lx + k - 7): item 7 divides by zero at iteration 0,
+  // item 3 at iteration 4. q % 1 keeps the division in the address.
+  RegionKernel rk;
+  const int q = rk.b.decl_var("q", i32());
+  const Kernel k = rk.finish(
+      {assign(q, bin(BinOp::Div, rk.b.ref(rk.k) + 1,
+                     rk.b.ref(rk.lx) + rk.b.ref(rk.k) - iconst(7)))},
+      rk.b.ref(rk.k) + bin(BinOp::Mod, rk.b.ref(q), iconst(1)));
+  EXPECT_TRUE(has_region(k));
+  expect_same(k, 1, 16, 5);
+  EXPECT_EQ(run_region(k, 1, 16, 5, Backend::Native).message,
+            "interp: integer division by zero");
+}
+
+TEST_F(NativeTest, RegionDivergentMaskedOps) {
+  if (!native_toolchain_available()) GTEST_SKIP() << "no host toolchain";
+  // An if inside the loop: items with lx < k scale their accumulator,
+  // the others (the else arm) add to it. The mask ops end a region, so
+  // the loop body runs partly chunk-outer, partly in item order.
+  RegionKernel rk;
+  const Kernel k = rk.finish(
+      {if_then(bin(BinOp::Lt, rk.b.ref(rk.lx), rk.b.ref(rk.k)),
+               {assign(rk.acc, bin(BinOp::FMul, rk.b.ref(rk.acc),
+                                   splat(fconst(1.5, fp(Scalar::F64, 1)), 2)))}),
+       if_then(bin(BinOp::Lt, rk.b.ref(rk.k) - iconst(1), rk.b.ref(rk.lx)),
+               {assign(rk.acc, bin(BinOp::FAdd, rk.b.ref(rk.acc),
+                                   splat(fconst(0.5, fp(Scalar::F64, 1)), 2)))})},
+      rk.b.ref(rk.lx) + rk.b.ref(rk.k));
+  expect_same(k, 2, 24, 9);
+
+  // A variable assigned under divergence holds different values per item
+  // afterwards, although every value assigned is uniform: the region's
+  // loads through it must still be per item.
+  RegionKernel rk2;
+  const int x = rk2.b.decl_var("x", i32());
+  rk2.b.append(if_then(bin(BinOp::Lt, rk2.b.ref(rk2.lx), iconst(3)),
+                       {assign(x, iconst(5))}));
+  const Kernel k2 = rk2.finish({}, rk2.b.ref(x) + rk2.b.ref(rk2.k));
+  EXPECT_TRUE(has_region(k2));
+  expect_same(k2, 2, 24, 9);
+}
+
+TEST_F(NativeTest, RegionNonUniformLoopBounds) {
+  if (!native_toolchain_available()) GTEST_SKIP() << "no host toolchain";
+  // A loop nested in the k-loop whose trip count is the item's own id.
+  RegionKernel rk;
+  const int i = rk.b.decl_var("i", i32());
+  const Kernel k = rk.finish(
+      {for_loop(i, iconst(0), rk.b.ref(rk.lx), iconst(1), {})},
+      rk.b.ref(rk.lx) + rk.b.ref(rk.k));
+  expect_same(k, 1, 24, 4);
+  EXPECT_EQ(run_region(k, 1, 24, 4, Backend::Native).message,
+            "for: non-uniform loop bounds across work-group");
+}
+
+TEST_F(NativeTest, RegionRacyLocalStoresKeepItemOrder) {
+  if (!native_toolchain_available()) GTEST_SKIP() << "no host toolchain";
+  // Items 2m and 2m + 1 both store to Blm[m]; the later item's value must
+  // win before the region's loop reads Blm back.
+  RegionKernel rk;
+  const int blm = rk.b.decl_array("Blm", Scalar::F64, 4, AddrSpace::Local);
+  rk.b.append(store_local(
+      blm, bin(BinOp::Div, rk.b.ref(rk.lx), iconst(2)),
+      load_global(1, rk.b.ref(rk.lx), fp(Scalar::F64, 1))));
+  rk.b.append(barrier());
+  const Kernel k = rk.finish(
+      {assign(rk.acc,
+              bin(BinOp::FAdd, rk.b.ref(rk.acc),
+                  splat(load_local(blm,
+                                   bin(BinOp::Mod, rk.b.ref(rk.lx) +
+                                                       rk.b.ref(rk.k),
+                                       iconst(4)),
+                                   fp(Scalar::F64, 1)),
+                        2)))},
+      rk.b.ref(rk.k) * 2);
+  EXPECT_TRUE(has_region(k));
+  expect_same(k, 2, 24, 7);
+}
+
 // ---- real GEMM kernels: SIMD-native against bytecode -----------------------
 
 /// Launches `k` through `be` on a copy of `bufs` and returns every
@@ -462,7 +659,10 @@ std::vector<std::uint8_t> random_elems(Rng& rng, std::size_t n, bool f32) {
 TEST_F(NativeTest, RealGemmKernelsMatchBytecode) {
   if (!native_toolchain_available()) GTEST_SKIP() << "no host toolchain";
   using codegen::Precision;
-  const auto devices = {simcl::DeviceId::Tahiti, simcl::DeviceId::SandyBridge};
+  const auto devices = {simcl::DeviceId::Tahiti, simcl::DeviceId::Cayman,
+                        simcl::DeviceId::Kepler, simcl::DeviceId::Fermi,
+                        simcl::DeviceId::SandyBridge,
+                        simcl::DeviceId::Bulldozer};
   const auto precs = {Precision::SP, Precision::DP};
   // The guarded direct kernel (vw = 1, fringe ifs), checked last.
   const codegen::KernelParams q = tuner::direct_variant(
@@ -477,8 +677,9 @@ TEST_F(NativeTest, RealGemmKernelsMatchBytecode) {
   prebuild_native(kernels);
 
   Rng rng(0x6E77);
-  // The packed Table II kernels the GEMM path launches for Tahiti and
-  // SandyBridge, at twice their work-group tile in every dimension.
+  // The packed Table II kernels of all six devices (every vector width,
+  // with and without local memory, each loop shape), at twice their
+  // work-group tile in every dimension.
   std::size_t next = 0;
   for (const auto dev : devices)
     for (const auto prec : precs) {
