@@ -3,7 +3,7 @@
 // gate CI on the performance *trajectory* instead of one pinned baseline.
 //
 // One Record holds the full scalar set of one report (a bench_util
-// "gemmtune-bench-v1" file, a `serve` report, a `dist` report), flattened
+// "gemmtune-bench-v1" file or a `serve` report), flattened
 // to a metric-name -> value map, plus the key fields that identify the
 // experiment: commit, commit time, host, device, precision, interpreter
 // backend, bench, scenario and thread count. Records serialize one per
@@ -37,7 +37,7 @@ struct Record {
   std::string device;   // "Tahiti", "Cypress+Cayman+...", or "mixed"
   std::string prec;     // "DGEMM", "SGEMM" or "mixed"
   std::string backend;  // tree | bytecode | native
-  std::string bench;    // producing harness: bench name, "serve", "dist"
+  std::string bench;    // producing harness: bench name or "serve"
   std::string scenario;  // deterministic scenario id within the bench
   int threads = 0;
   std::string source_schema;  // schema of the ingested report
@@ -71,8 +71,8 @@ struct IngestOverrides {
   std::optional<std::int64_t> commit_time;
 };
 
-/// Converts one report document into a record. Accepts the three known
-/// schemas (gemmtune-bench-v1 / serve-v1 / dist-v1); anything else — or a
+/// Converts one report document into a record. Accepts the two known
+/// schemas (gemmtune-bench-v1 / serve-v1); anything else — or a
 /// report whose "meta" block is absent or missing a key field — throws
 /// gemmtune::Error naming `origin` and the offending field. Flattening:
 ///   scalars                 kept under their own names

@@ -1,6 +1,6 @@
 // The `gemmtune bench-db` verb: the CLI face of the experiment store.
 //
-//   ingest FILE... --db PATH     consume bench/serve/dist reports
+//   ingest FILE... --db PATH     consume bench/serve reports
 //   query  --db PATH [filters]   list records (table or --json)
 //   compare BASE CUR             diff two report files (compare_bench's
 //                                old job), or two commits with --db
@@ -22,8 +22,8 @@ namespace gemmtune::benchdb {
 namespace {
 
 /// `--flag value` / `--flag=value` parsing (same contract as the serve
-/// and dist verbs): returns the value and advances `i` when args[i] is
-/// `flag`, nullopt otherwise.
+/// verb): returns the value and advances `i` when args[i] is `flag`,
+/// nullopt otherwise.
 std::optional<std::string> flag_value(const std::vector<std::string>& args,
                                       std::size_t& i, const char* flag) {
   const std::string& a = args[i];
@@ -336,7 +336,7 @@ int usage(std::ostream& out) {
   out << "usage: gemmtune bench-db <subcommand> [flags]\n"
          "subcommands:\n"
          "  ingest FILE... --db PATH [--commit C] [--time T]\n"
-         "      append bench/serve/dist report files as experiment\n"
+         "      append bench/serve report files as experiment\n"
          "      records (key fields come from each report's meta block)\n"
          "  query --db PATH [--commit C] [--bench B] [--scenario S]\n"
          "        [--device D] [--prec P] [--backend B] [--threads N]\n"

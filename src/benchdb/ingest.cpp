@@ -65,11 +65,9 @@ Record ingest_report(const Json& doc, const std::string& origin,
   check(doc.contains("schema"),
         "ingest: " + origin + ": document has no 'schema' field");
   const std::string schema = doc.at("schema").as_string();
-  check(schema == kBenchReportSchema || schema == kServeReportSchema ||
-            schema == kDistReportSchema,
+  check(schema == kBenchReportSchema || schema == kServeReportSchema,
         "ingest: " + origin + ": unsupported schema '" + schema + "' (use " +
-            kBenchReportSchema + ", " + kServeReportSchema + " or " +
-            kDistReportSchema + ")");
+            kBenchReportSchema + " or " + kServeReportSchema + ")");
   check(doc.contains("meta"),
         "ingest: " + origin + ": report missing required field 'meta' "
         "(re-run the bench with a current build)");
@@ -91,7 +89,7 @@ Record ingest_report(const Json& doc, const std::string& origin,
     r.bench = doc.at("bench").as_string();
     r.scenario = r.bench;
     flatten_bench_sections(doc, r.metrics);
-  } else if (schema == kServeReportSchema) {
+  } else {  // serve
     const Json& wl = doc.at("workload");
     r.bench = "serve";
     r.device = join_devices(wl.at("devices"));
@@ -105,18 +103,6 @@ Record ingest_report(const Json& doc, const std::string& origin,
     // of the same workload track separate trajectories.
     if (wl.contains("core"))
       r.scenario += ",core=" + wl.at("core").as_string();
-    for (const auto& [name, value] : doc.at("scalars").items())
-      r.metrics[name] = value.as_number();
-  } else {  // dist
-    const Json& problem = doc.at("problem");
-    r.bench = "dist";
-    r.device = join_devices(problem.at("devices"));
-    r.prec = problem.at("prec").as_string();
-    r.scenario = strf("%s,m=%lld,n=%lld,k=%lld",
-                      problem.at("type").as_string().c_str(),
-                      static_cast<long long>(problem.at("m").as_int()),
-                      static_cast<long long>(problem.at("n").as_int()),
-                      static_cast<long long>(problem.at("k").as_int()));
     for (const auto& [name, value] : doc.at("scalars").items())
       r.metrics[name] = value.as_number();
   }

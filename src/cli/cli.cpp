@@ -17,7 +17,6 @@
 #include "common/strings.hpp"
 #include "common/table.hpp"
 #include "common/thread_pool.hpp"
-#include "dist/executor.hpp"
 #include "kernelir/emit.hpp"
 #include "kernelir/interp.hpp"
 #include "kernelir/native.hpp"
@@ -53,14 +52,13 @@ GemmType parse_type(const std::string& s) {
 int cmd_devices(std::ostream& out) {
   TextTable t;
   t.set_header({"Device", "Type", "Clock GHz", "CUs", "Peak DP", "Peak SP",
-                "BW GB/s", "Host GB/s", "Xfer us", "Local kB"});
+                "BW GB/s", "Host GB/s", "Local kB"});
   for (simcl::DeviceId id : simcl::all_devices()) {
     const auto& d = simcl::device_spec(id);
     t.add_row({d.code_name, d.is_gpu() ? "GPU" : "CPU",
                strf("%.3g", d.clock_ghz), std::to_string(d.compute_units),
                fmt_gflops(d.peak_dp_gflops), fmt_gflops(d.peak_sp_gflops),
                strf("%.4g", d.global_bw_gbs), strf("%.3g", d.host_bw_gbs),
-               strf("%.3g", d.transfer_latency_us),
                strf("%.3g", d.local_mem_kb)});
   }
   t.print(out);
@@ -553,57 +551,6 @@ int cmd_replay(const std::vector<std::string>& args, std::ostream& out) {
   return run_serve(w.spec, w.requests, cache_path, report_path, copt, out);
 }
 
-int cmd_dist(const std::vector<std::string>& args, std::ostream& out) {
-  std::string spec_text, report_path;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (auto v = flag_value(args, i, "--spec")) spec_text = *v;
-    else if (auto v = flag_value(args, i, "--report")) report_path = *v;
-    else fail("dist: unknown argument '" + args[i] + "'");
-  }
-  const dist::DistSpec spec = dist::parse_dist_spec(spec_text);
-  const auto devices = spec.resolved_devices();
-  dist::DistExecutor ex(devices);
-  const auto o =
-      ex.run(spec.type, spec.prec, spec.M, spec.N, spec.K, spec.tile);
-  out << strf("problem: %s %s %lldx%lldx%lld, tile %lldx%lld -> "
-              "%lldx%lld grid (%lld tiles)\n",
-              to_string(spec.prec), to_string(spec.type),
-              static_cast<long long>(spec.M), static_cast<long long>(spec.N),
-              static_cast<long long>(spec.K),
-              static_cast<long long>(o.grid.tile_m),
-              static_cast<long long>(o.grid.tile_n),
-              static_cast<long long>(o.grid.rows),
-              static_cast<long long>(o.grid.cols),
-              static_cast<long long>(o.grid.total()));
-  TextTable t;
-  t.set_header({"Device", "Tiles", "Stolen", "Compute s", "Transfer s",
-                "Solo s"});
-  for (std::size_t d = 0; d < devices.size(); ++d) {
-    const auto& ds = o.device_stats[d];
-    t.add_row({simcl::to_string(devices[d]), std::to_string(ds.executed),
-               std::to_string(ds.stolen), strf("%.4f", ds.compute_seconds),
-               strf("%.4f", ds.transfer_seconds),
-               strf("%.4f", o.single_seconds[d])});
-  }
-  t.print(out);
-  out << strf("fleet: %.4f s simulated (%.1f GFlop/s)\n",
-              o.makespan_seconds, o.gflops);
-  out << strf("best single device: %s at %.4f s -> speedup %.2fx\n",
-              simcl::to_string(devices[static_cast<std::size_t>(
-                                   o.best_single)])
-                  .c_str(),
-              o.best_single_seconds, o.speedup);
-  if (!report_path.empty()) {
-    const Json report = dist::build_dist_report(spec, o);
-    std::ofstream f(report_path, std::ios::trunc);
-    check(f.good(), "dist: cannot write report " + report_path);
-    f << report.dump(2) << "\n";
-    check(f.good(), "dist: write failed for " + report_path);
-    out << "wrote " << report_path << "\n";
-  }
-  return 0;
-}
-
 int usage(std::ostream& out) {
   out << "usage: gemmtune [--threads N] [--interp B] [--jit-cache-dir D]\n"
          "                [--trace FILE] [--metrics FILE] <command> [args]\n"
@@ -661,14 +608,9 @@ int usage(std::ostream& out) {
          "         [--core C] [--shards N] [--slo-ms X]\n"
          "         [--tune-strategy SPEC] [--tune-candidates N]\n"
          "                  re-run a workload trace saved by serve\n"
-         "  dist [--spec SPEC] [--report FILE]\n"
-         "                  run one large GEMM tiled across the whole\n"
-         "                  fleet; SPEC is k=v pairs, e.g. size=8192,\n"
-         "                  prec=SGEMM,type=NN,tile=1024,\n"
-         "                  devices=Cypress+Cayman+SandyBridge\n"
          "  bench-db <ingest|query|compare|trend|gate> [flags]\n"
          "                  benchmark experiment database: ingest\n"
-         "                  bench/serve/dist reports into an append-only\n"
+         "                  bench/serve reports into an append-only\n"
          "                  JSONL store, query and diff them, render\n"
          "                  trend reports, and gate CI on the last-K\n"
          "                  performance trajectory (`bench-db` for the\n"
@@ -773,7 +715,6 @@ int run(const std::vector<std::string>& args, std::ostream& out) {
     if (cmd == "verify") return write_observability(cmd_verify(rest, out));
     if (cmd == "serve") return write_observability(cmd_serve(rest, out));
     if (cmd == "replay") return write_observability(cmd_replay(rest, out));
-    if (cmd == "dist") return write_observability(cmd_dist(rest, out));
     if (cmd == "bench-db")
       return write_observability(benchdb::run_cli(rest, out));
     return write_observability(usage(out));

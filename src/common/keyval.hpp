@@ -1,8 +1,8 @@
 // Shared "key=value,key=value" spec-string parsing.
 //
-// Both CLI spec surfaces — the serving workload spec and the distributed
-// GEMM spec — accept comma-separated key=value lists. This helper is the
-// one choke point for their lexical handling, so every spec rejects
+// Both CLI spec surfaces — the serving workload spec and the tuner's
+// --strategy spec — accept comma-separated key=value lists. This helper is
+// the one choke point for their lexical handling, so every spec rejects
 // malformed items and unknown keys the same way: with an error that names
 // the offending key and lists the accepted ones, never by silently
 // ignoring a typo (a misspelled `requets=10000` that quietly runs the

@@ -14,9 +14,6 @@ inline constexpr const char* kBenchReportSchema = "gemmtune-bench-v1";
 /// Batched serving reports (`gemmtune serve` / `gemmtune replay`).
 inline constexpr const char* kServeReportSchema = "gemmtune-serve-v1";
 
-/// Distributed multi-device GEMM reports (`gemmtune dist`).
-inline constexpr const char* kDistReportSchema = "gemmtune-dist-v1";
-
 /// Benchmark experiment database records (src/benchdb), one per line of
 /// the append-only JSONL store.
 inline constexpr const char* kBenchDbSchema = "gemmtune-benchdb-v1";

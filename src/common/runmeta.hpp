@@ -1,6 +1,6 @@
 // Identity of the producing run, for machine-readable reports.
 //
-// Every report the project emits (gemmtune-bench-v1 / serve-v1 / dist-v1)
+// Every report the project emits (gemmtune-bench-v1 / serve-v1)
 // carries a "meta" block naming the commit, commit timestamp, host,
 // interpreter backend and thread count of the run that produced it, so
 // `gemmtune bench-db ingest` can key records without guessing. The git

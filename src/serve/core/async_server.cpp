@@ -567,7 +567,6 @@ Json build_async_report(const WorkloadSpec& spec,
   options["dispatch_overhead_us"] = opt.dispatch_overhead_seconds * 1e6;
   options["max_batch_ms"] = opt.max_batch_seconds * 1e3;
   options["warmup_sweep_n"] = opt.warmup_sweep_n;
-  options["dist_threshold_n"] = opt.dist_threshold_n;
   doc["options"] = std::move(options);
 
   Json core = Json::object();

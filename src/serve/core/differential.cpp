@@ -30,7 +30,7 @@ bool same_batch(const BatchRecord& a, const BatchRecord& b) {
          a.shape == b.shape && a.size == b.size &&
          a.start_seconds == b.start_seconds &&
          a.finish_seconds == b.finish_seconds &&
-         a.used_direct == b.used_direct && a.distributed == b.distributed;
+         a.used_direct == b.used_direct;
 }
 
 }  // namespace
@@ -112,7 +112,6 @@ DiffReport run_differential(GemmServer& server,
         const GemmRequest& r = requests[i];
         const GemmResponse& resp = serial.responses[i];
         if (resp.status != RequestStatus::Completed ||
-            resp.device_index < 0 ||
             std::max({r.M, r.N, r.K}) > aopt.execute_max_n)
           continue;
         const std::uint64_t ref = execute_checksum(

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 #include <fstream>
 #include <limits>
 
@@ -200,22 +199,6 @@ std::vector<PathEstimate> GemmServer::fresh_estimates(
   return col;
 }
 
-double GemmServer::dist_seconds(const GemmRequest& r) {
-  const auto key = std::make_tuple(r.type, r.prec, r.M, r.N, r.K);
-  const auto it = dist_cache_.find(key);
-  if (it != dist_cache_.end()) return it->second;
-  if (!dist_) {
-    std::vector<blas::GemmEngine*> engines;
-    engines.reserve(engines_.size());
-    for (const auto& e : engines_) engines.push_back(e.get());
-    dist_ = std::make_unique<dist::DistExecutor>(
-        std::move(engines), dist::DistOptions{opt_.threads});
-  }
-  const double s = dist_->estimate_seconds(r.type, r.prec, r.M, r.N, r.K);
-  dist_cache_.emplace(key, s);
-  return s;
-}
-
 ServeOutcome GemmServer::run(const std::vector<GemmRequest>& requests,
                              int max_batch, int queue_capacity) {
   return simulate(requests, max_batch, queue_capacity, 1, nullptr, {});
@@ -250,17 +233,11 @@ ServeOutcome GemmServer::simulate(const std::vector<GemmRequest>& requests,
     double start = 0;
     double finish = 0;
     bool used_direct = false;
-    bool distributed = false;
     std::int64_t batch_id = 0;
   };
   constexpr double kInf = std::numeric_limits<double>::infinity();
   std::vector<std::optional<Running>> running(devices_.size());
   ShardedQueue queue(shards, max_batch, queue_capacity);
-  std::deque<GemmRequest> dist_queue;  // oversized requests, FIFO
-  const auto is_distributed = [&](const GemmRequest& r) {
-    return opt_.dist_threshold_n > 0 &&
-           std::max({r.M, r.N, r.K}) >= opt_.dist_threshold_n;
-  };
   // Earliest completion from a cold start: the best device taking the
   // request alone, right now. The infeasibility shed compares it with
   // the deadline.
@@ -282,7 +259,7 @@ ServeOutcome GemmServer::simulate(const std::vector<GemmRequest>& requests,
       resp.finish_seconds = run.finish;
       resp.latency_seconds = run.finish - r.arrival_seconds;
       resp.wait_seconds = run.start - r.arrival_seconds;
-      resp.device_index = run.distributed ? -1 : d;
+      resp.device_index = d;
       resp.batch_id = run.batch_id;
       resp.batch_size = static_cast<int>(run.batch.requests.size());
       resp.used_direct = run.used_direct;
@@ -292,9 +269,7 @@ ServeOutcome GemmServer::simulate(const std::vector<GemmRequest>& requests,
           static_cast<std::uint64_t>(resp.wait_seconds * 1e6));
     }
     DeviceStats& ds = out.device_stats[static_cast<std::size_t>(d)];
-    // A distributed dispatch occupies every device but is one batch; only
-    // the device carrying the request record counts it.
-    if (!run.batch.requests.empty()) ds.batches += 1;
+    ds.batches += 1;
     ds.requests += static_cast<std::int64_t>(run.batch.requests.size());
     ds.busy_seconds += run.finish - run.start;
     last_finish = std::max(last_finish, run.finish);
@@ -336,12 +311,8 @@ ServeOutcome GemmServer::simulate(const std::vector<GemmRequest>& requests,
            requests[next_arrival].arrival_seconds <= clock) {
       const GemmRequest& r = requests[next_arrival++];
       trace::counter_add("serve.requests", 1);
-      if (is_distributed(r)) {
-        dist_queue.push_back(r);
-        trace::counter_add("serve.distributed_requests", 1);
-      } else if (infeasible != nullptr && r.deadline_seconds > 0 &&
-                 r.arrival_seconds + best_case_seconds(r) >
-                     r.deadline_seconds) {
+      if (infeasible != nullptr && r.deadline_seconds > 0 &&
+          r.arrival_seconds + best_case_seconds(r) > r.deadline_seconds) {
         (*infeasible)[slot_of.at(r.id)] = 1;
         reject(r, RequestStatus::RejectedDeadline, r.arrival_seconds,
                "serve.shed_infeasible");
@@ -364,41 +335,6 @@ ServeOutcome GemmServer::simulate(const std::vector<GemmRequest>& requests,
       std::size_t idle = 0;
       for (const auto& r : running) idle += r ? 0 : 1;
       if (idle == 0) break;
-      // A pending distributed request is a fleet barrier: no new batch is
-      // fed while it waits, so the devices drain; once every device is
-      // idle the request occupies them all for the modeled tiled-fleet
-      // makespan (src/dist), then normal dispatching resumes.
-      if (!dist_queue.empty()) {
-        if (idle < running.size()) break;
-        const GemmRequest r = dist_queue.front();
-        dist_queue.pop_front();
-        if (r.expired_at(clock)) {
-          reject(r, RequestStatus::RejectedDeadline, clock,
-                 "serve.rejects_deadline");
-          continue;
-        }
-        trace::Span dist_span("serve.dist_batch");
-        const double secs = dist_seconds(r);
-        const double finish =
-            clock + opt_.dispatch_overhead_seconds + secs;
-        const std::int64_t batch_id =
-            static_cast<std::int64_t>(out.batches.size());
-        for (std::size_t d = 0; d < running.size(); ++d) {
-          Running run;
-          run.batch.shape = ShapeClass::of(r);
-          if (d == 0) run.batch.requests.push_back(r);
-          run.start = clock;
-          run.finish = finish;
-          run.distributed = true;
-          run.batch_id = batch_id;
-          running[d] = std::move(run);
-        }
-        out.batches.push_back({batch_id, -1, ShapeClass::of(r), 1, clock,
-                               finish, false, true});
-        trace::counter_add("serve.batches", 1);
-        trace::counter_add("serve.distributed_batches", 1);
-        continue;  // all devices busy now; loop exits via idle == 0
-      }
       std::vector<GemmRequest> expired;
       const auto views = queue.group_views(clock, expired);
       expire(expired, clock);
@@ -457,8 +393,6 @@ ServeOutcome GemmServer::simulate(const std::vector<GemmRequest>& requests,
     }
   }
   check(queue.empty(), "GemmServer::run: scheduler drained incompletely");
-  check(dist_queue.empty(),
-        "GemmServer::run: distributed queue drained incompletely");
 
   out.peak_queue_depth = queue.peak_depth();
   const double first_arrival = n > 0 ? requests.front().arrival_seconds : 0;
@@ -484,11 +418,9 @@ void outcome_scalars(Json& scalars, const std::string& prefix,
     }
   }
   std::int64_t direct_batches = 0;
-  std::int64_t dist_batches = 0;
   std::int64_t max_batch_size = 0;
   for (const BatchRecord& b : o.batches) {
     if (b.used_direct) ++direct_batches;
-    if (b.distributed) ++dist_batches;
     max_batch_size = std::max(max_batch_size,
                               static_cast<std::int64_t>(b.size));
   }
@@ -504,7 +436,6 @@ void outcome_scalars(Json& scalars, const std::string& prefix,
           static_cast<double>(o.batches.size()),
       0.0);
   scalars[prefix + "batches.max_size"] = max_batch_size;
-  scalars[prefix + "batches.distributed"] = dist_batches;
   scalars[prefix + "batches.direct_fraction"] = finite_or(
       static_cast<double>(direct_batches) /
           static_cast<double>(o.batches.size()),
@@ -553,7 +484,6 @@ Json build_report(const WorkloadSpec& spec,
   options["dispatch_overhead_us"] = opt.dispatch_overhead_seconds * 1e6;
   options["max_batch_ms"] = opt.max_batch_seconds * 1e3;
   options["warmup_sweep_n"] = opt.warmup_sweep_n;
-  options["dist_threshold_n"] = opt.dist_threshold_n;
   options["tune_strategy"] =
       opt.tune_strategy.empty() ? "table2" : opt.tune_strategy;
   doc["options"] = std::move(options);

@@ -31,13 +31,11 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "blas/gemm.hpp"
 #include "common/json.hpp"
 #include "common/thread_pool.hpp"
-#include "dist/executor.hpp"
 #include "serve/workload.hpp"
 #include "tuner/strategy/strategy.hpp"
 
@@ -65,15 +63,6 @@ struct ServeOptions {
   /// Persistent warm-cache path (TunedDatabase JSON). Empty: in-memory
   /// only. A corrupt cache file is ignored (and rewritten), not fatal.
   std::string cache_path;
-  /// Problem-size threshold for the distributed path: a request whose
-  /// largest extent reaches this value bypasses batching and runs as a
-  /// tile-partitioned GEMM across the whole fleet (src/dist). Such a
-  /// request acts as a fleet barrier — no new batch is fed while it
-  /// waits, so the devices drain and then all execute it together.
-  /// <= 0 disables distributed dispatch. The default sits above the
-  /// generated workload's largest shape (2048), so distribution only
-  /// triggers for explicitly oversized requests.
-  index_t dist_threshold_n = 4096;
   /// Input-aware warmup: a --strategy spec (e.g. "model_topk,budget=64").
   /// When set, the estimate table is built from kernels tuned per observed
   /// shape class by the budgeted strategy instead of the size-agnostic
@@ -95,13 +84,12 @@ struct WarmupInfo {
 /// One dispatched batch, in simulated time.
 struct BatchRecord {
   std::int64_t id = 0;
-  int device_index = 0;  ///< -1 for a distributed (whole-fleet) dispatch
+  int device_index = 0;  ///< index into the server's device list
   ShapeClass shape;
   int size = 0;
   double start_seconds = 0;
   double finish_seconds = 0;
   bool used_direct = false;
-  bool distributed = false;  ///< ran tiled across every device (src/dist)
 };
 
 /// Per-device aggregates over one run.
@@ -132,8 +120,7 @@ struct PathEstimate {
 };
 
 /// Receives each batch the event loop places on a device: the device
-/// index and the requests in dispatch order. Not called for distributed
-/// (whole-fleet) dispatches.
+/// index and the requests in dispatch order.
 using DispatchHook =
     std::function<void(std::size_t, const std::vector<GemmRequest>&)>;
 
@@ -188,10 +175,6 @@ class GemmServer {
     return engines_;
   }
 
-  /// Modeled fleet makespan of one distributed request (memoized; builds
-  /// the executor over the warmed engines on first use).
-  double dist_seconds(const GemmRequest& r);
-
   /// Recomputes one device's estimate column for `shapes` from scratch
   /// (the async core's re-tuner exercises this refresh path). Classic
   /// mode re-profiles the Table II kernel into a fresh engine; guided
@@ -226,11 +209,6 @@ class GemmServer {
   std::vector<std::unique_ptr<tuner::SearchEngine>> search_engines_;
   /// shape class -> per-device estimate (index parallel to devices_).
   std::map<ShapeClass, std::vector<PathEstimate>> estimates_;
-  std::unique_ptr<dist::DistExecutor> dist_;
-  std::map<std::tuple<GemmType, codegen::Precision, index_t, index_t,
-                      index_t>,
-           double>
-      dist_cache_;
   bool warmed_ = false;
 };
 

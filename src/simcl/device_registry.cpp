@@ -20,10 +20,6 @@ namespace {
 //    listed peak (Table II reports 105% DGEMM efficiency).
 //  * host_bw_gbs: PCIe 2.0/3.0-era effective transfer rates; CPUs copy
 //    within system memory.
-//  * transfer_latency_us: fixed per-transfer cost (DMA setup + driver
-//    round trip) — 11-18 us across the PCIe GPUs (NVIDIA's stack of the
-//    era was a little leaner than Catalyst), a few us of map/unmap on the
-//    CPUs.
 //  * CPU global_bw_gbs is not in Table I: Sandy Bridge-E has quad-channel
 //    DDR3-1600 (51.2 GB/s), the FX-8150 dual-channel DDR3-1866 (29.9 GB/s
 //    listed, ~21 sustained).
@@ -51,7 +47,6 @@ DeviceSpec make_tahiti() {
   d.max_workgroup_size = 256;
   d.registers_per_cu_kb = 256;
   d.host_bw_gbs = 6.0;
-  d.transfer_latency_us = 14.0;
   d.kernel_launch_us = 8.0;
   return d;
 }
@@ -80,7 +75,6 @@ DeviceSpec make_cayman() {
   d.max_workgroup_size = 256;
   d.registers_per_cu_kb = 256;
   d.host_bw_gbs = 5.5;
-  d.transfer_latency_us = 16.0;
   d.kernel_launch_us = 10.0;
   return d;
 }
@@ -111,7 +105,6 @@ DeviceSpec make_kepler() {
   d.boost_factor = 1.12;  // overclocked card boosts past the listed clock
                           // (Table II reports 105% DGEMM efficiency)
   d.host_bw_gbs = 6.0;
-  d.transfer_latency_us = 11.0;
   d.kernel_launch_us = 6.0;
   return d;
 }
@@ -140,7 +133,6 @@ DeviceSpec make_fermi() {
   d.max_workgroup_size = 1024;
   d.registers_per_cu_kb = 128;
   d.host_bw_gbs = 5.8;
-  d.transfer_latency_us = 13.0;
   d.kernel_launch_us = 7.0;
   return d;
 }
@@ -169,7 +161,6 @@ DeviceSpec make_sandy_bridge() {
   d.max_workgroup_size = 1024;
   d.registers_per_cu_kb = 0.5;
   d.host_bw_gbs = 12.0;
-  d.transfer_latency_us = 3.0;
   d.kernel_launch_us = 25.0;
   return d;
 }
@@ -198,7 +189,6 @@ DeviceSpec make_bulldozer() {
   d.max_workgroup_size = 1024;
   d.registers_per_cu_kb = 0.5;
   d.host_bw_gbs = 9.0;
-  d.transfer_latency_us = 4.0;
   d.kernel_launch_us = 30.0;
   return d;
 }
@@ -230,7 +220,6 @@ DeviceSpec make_cypress() {
   d.max_workgroup_size = 256;
   d.registers_per_cu_kb = 256;
   d.host_bw_gbs = 5.0;
-  d.transfer_latency_us = 18.0;
   d.kernel_launch_us = 10.0;
   return d;
 }

@@ -55,25 +55,12 @@ struct DeviceSpec {
   double boost_factor = 1.0;       ///< dynamic clock boost (Kepler GTX 670 OC)
   double host_bw_gbs = 6.0;        ///< host<->device transfer bandwidth
   double kernel_launch_us = 8.0;   ///< fixed launch overhead
-  /// Fixed per-transfer latency (DMA setup, doorbell, driver round trip)
-  /// paid by every host<->device copy before the first byte moves. PCIe
-  /// GPUs sit in the 10-20 us range of the era; the CPUs "transfer"
-  /// within system memory and pay only a map/unmap cost.
-  double transfer_latency_us = 15.0;
 
   /// Peak arithmetic rate for the given element width (8 => DP, 4 => SP),
   /// including boost.
   double peak_gflops(bool double_precision) const {
     return (double_precision ? peak_dp_gflops : peak_sp_gflops) *
            boost_factor;
-  }
-
-  /// Duration of one host<->device transfer of `bytes`: the fixed
-  /// per-transfer latency plus the bandwidth term. This is the per-device
-  /// transfer-cost model the distributed executor charges for every tile
-  /// panel it ships to (or result it fetches from) a device.
-  double transfer_seconds(double bytes) const {
-    return transfer_latency_us * 1e-6 + bytes / (host_bw_gbs * 1e9);
   }
 
   /// Local memory capacity per compute unit in bytes.

@@ -207,20 +207,27 @@ TEST_F(BenchDbTest, IngestServeReport) {
   EXPECT_DOUBLE_EQ(r.metrics.at("throughput_rps"), 750.0);
 }
 
-TEST_F(BenchDbTest, IngestDistReport) {
+TEST_F(BenchDbTest, IngestRejectsAnUnsupportedSchemaByName) {
+  // Only bench-v1 and serve-v1 reports are ingestible; the error names the
+  // file and the schema it refused.
   const Json doc = Json::parse(R"({
-    "schema": ")" + std::string(kDistReportSchema) + R"(",
+    "schema": "gemmtune-dist-v1",
     "meta": {"backend": "tree", "commit": "abc", "commit_time": 1,
              "host": "ci", "threads": 4},
     "problem": {"devices": ["Tahiti"], "prec": "DGEMM", "type": "NT",
                 "m": 4096, "n": 2048, "k": 1024},
     "scalars": {"throughput.gflops": 900.0}
   })");
-  const Record r = ingest_report(doc, "dist.json");
-  EXPECT_EQ(r.bench, "dist");
-  EXPECT_EQ(r.device, "Tahiti");
-  EXPECT_EQ(r.prec, "DGEMM");
-  EXPECT_EQ(r.scenario, "NT,m=4096,n=2048,k=1024");
+  try {
+    ingest_report(doc, "dist.json");
+    FAIL() << "expected Error";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("dist.json"), std::string::npos) << what;
+    EXPECT_NE(what.find("unsupported schema 'gemmtune-dist-v1'"),
+              std::string::npos)
+        << what;
+  }
 }
 
 TEST_F(BenchDbTest, IngestRejectsMissingMetaFieldByName) {

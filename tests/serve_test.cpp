@@ -19,7 +19,9 @@ namespace gemmtune {
 namespace {
 
 using codegen::Precision;
+using serve::BatchRecord;
 using serve::GemmRequest;
+using serve::GemmResponse;
 using serve::GemmServer;
 using serve::RequestStatus;
 using serve::ServeOptions;
@@ -322,7 +324,9 @@ TEST_F(ServeSim, QueueFullRejectsOnArrival) {
   EXPECT_EQ(out.peak_queue_depth, 4u);
 }
 
-TEST(DistRoutingTest, OversizedRequestRunsOnTheWholeFleet) {
+TEST(OversizedRequestTest, CompletesOnOneDeviceUnderDefaultOptions) {
+  // A request beyond the generated workload's largest shape takes the same
+  // earliest-completion dispatch as any other: one batch on one device.
   GemmServer server({DeviceId::Tahiti, DeviceId::SandyBridge},
                     ServeOptions{});
   server.warmup();
@@ -332,33 +336,26 @@ TEST(DistRoutingTest, OversizedRequestRunsOnTheWholeFleet) {
   big.id = 1;
   big.type = GemmType::NN;
   big.prec = Precision::SP;
-  big.M = big.N = big.K = 4096;  // at the default dist_threshold_n
+  big.M = big.N = big.K = 4096;
   big.arrival_seconds = 1e-3;
   big.deadline_seconds = 1e9;
   reqs.push_back(big);
   const ServeOutcome out = server.run(reqs, 16, 64);
-  // The small request batches normally on one device.
-  EXPECT_EQ(out.responses[0].status, RequestStatus::Completed);
-  EXPECT_GE(out.responses[0].device_index, 0);
-  // The oversized one completes on the whole fleet (device -1).
-  EXPECT_EQ(out.responses[1].status, RequestStatus::Completed);
-  EXPECT_EQ(out.responses[1].device_index, -1);
-  int dist_batches = 0;
-  for (const auto& b : out.batches)
-    if (b.distributed) {
-      ++dist_batches;
-      EXPECT_EQ(b.device_index, -1);
-      EXPECT_EQ(b.size, 1);
-    }
-  EXPECT_EQ(dist_batches, 1);
-  // Every device was busy for the distributed window.
-  for (const auto& ds : out.device_stats)
-    EXPECT_GT(ds.busy_seconds, 0.0);
+  for (const GemmResponse& resp : out.responses) {
+    EXPECT_EQ(resp.status, RequestStatus::Completed);
+    EXPECT_GE(resp.device_index, 0);
+  }
+  const GemmResponse& resp = out.responses[1];
+  ASSERT_GE(resp.batch_id, 0);
+  const BatchRecord& b =
+      out.batches.at(static_cast<std::size_t>(resp.batch_id));
+  EXPECT_EQ(b.device_index, resp.device_index);
+  EXPECT_EQ(b.size, 1);
 }
 
-TEST(DistRoutingTest, OversizedRequestWithoutDeadlineCompletes) {
-  // A deadline <= 0 means "no deadline" on the fleet-barrier path too:
-  // dispatched after t = 0, the request must still run, not be rejected.
+TEST(OversizedRequestTest, WithoutDeadlineCompletes) {
+  // A deadline <= 0 means "no deadline": dispatched after t = 0, the
+  // request must still run, not be rejected.
   GemmServer server({DeviceId::Tahiti, DeviceId::SandyBridge},
                     ServeOptions{});
   server.warmup();
@@ -372,25 +369,7 @@ TEST(DistRoutingTest, OversizedRequestWithoutDeadlineCompletes) {
   const ServeOutcome out = server.run({big}, 16, 64);
   EXPECT_EQ(out.responses[0].status, RequestStatus::Completed)
       << serve::to_string(out.responses[0].status);
-  EXPECT_EQ(out.responses[0].device_index, -1);
-}
-
-TEST(DistRoutingTest, ThresholdZeroDisablesTheDistributedPath) {
-  ServeOptions sopt;
-  sopt.dist_threshold_n = 0;
-  GemmServer server({DeviceId::Tahiti}, sopt);
-  server.warmup();
-  GemmRequest big;
-  big.id = 0;
-  big.type = GemmType::NN;
-  big.prec = Precision::SP;
-  big.M = big.N = big.K = 4096;
-  big.arrival_seconds = 0;
-  big.deadline_seconds = 1e9;
-  const ServeOutcome out = server.run({big}, 4, 16);
-  EXPECT_EQ(out.responses[0].status, RequestStatus::Completed);
-  EXPECT_EQ(out.responses[0].device_index, 0);
-  for (const auto& b : out.batches) EXPECT_FALSE(b.distributed);
+  EXPECT_GE(out.responses[0].device_index, 0);
 }
 
 TEST(ServeReportTest, IdenticalAcrossThreadCountsAndRuns) {

@@ -62,22 +62,9 @@ TEST(DeviceRegistry, PeaksAreConsistentWithClockAndWidth) {
   }
 }
 
-TEST(DeviceRegistry, TransferModelCombinesLatencyAndBandwidth) {
-  for (DeviceId id : all_devices()) {
-    const DeviceSpec& d = device_spec(id);
-    EXPECT_GT(d.host_bw_gbs, 0) << d.code_name;
-    EXPECT_GT(d.transfer_latency_us, 0) << d.code_name;
-    // Zero bytes still pay the fixed setup cost.
-    EXPECT_DOUBLE_EQ(d.transfer_seconds(0), d.transfer_latency_us * 1e-6);
-    EXPECT_NEAR(d.transfer_seconds(1e9),
-                d.transfer_latency_us * 1e-6 + 1.0 / d.host_bw_gbs, 1e-12)
-        << d.code_name;
-  }
-  // CPUs map system memory: lower fixed latency than the PCIe GPUs.
-  EXPECT_LT(device_spec(DeviceId::SandyBridge).transfer_latency_us,
-            device_spec(DeviceId::Tahiti).transfer_latency_us);
-  EXPECT_LT(device_spec(DeviceId::Bulldozer).transfer_latency_us,
-            device_spec(DeviceId::Cypress).transfer_latency_us);
+TEST(DeviceRegistry, EveryDeviceHasAHostLink) {
+  for (DeviceId id : all_devices())
+    EXPECT_GT(device_spec(id).host_bw_gbs, 0) << device_spec(id).code_name;
 }
 
 TEST(Context, AllocatesAndTracksBuffers) {
